@@ -51,6 +51,7 @@ from .equilibrium import (
     EquilibriumResult,
     grid_saddle_oracle,
     payoff_gradient,
+    payoff_kernel,
     payoff_surface,
     refine_saddle,
     solve_classical,
@@ -102,6 +103,7 @@ __all__ = [
     "make_projector",
     "marginals",
     "payoff_gradient",
+    "payoff_kernel",
     "payoff_surface",
     "play_round",
     "probabilities_from_angle",

@@ -6,7 +6,7 @@ Exit codes are frozen for scripting:
     2  usage error or malformed spec file
     3  non-finite numeric value in the spec
     4  output I/O failure
-    5  equilibrium refinement did not converge (report is still printed)
+    5  no saddle: the one-sided values differ (report is still printed)
 
 Game specs are single JSON documents:
 
@@ -270,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq.add_argument("--grid-n", type=int, default=256,
                       help="grid resolution for the oracle and certificate")
     p_eq.add_argument("--tol", type=float, default=1e-9,
-                      help="refinement tolerance")
+                      help="saddle tolerance: no_saddle when the one-sided "
+                           "values differ by more than max(10*tol, 1e-8)")
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_cl = sub.add_parser("classical",

@@ -1,17 +1,18 @@
 """Saddle-point search over the two strategy angles, plus a 4x4 matrix solver.
 
-The payoff surface h(alpha, beta) is, for either angle with the other
-held fixed, a constant plus a sinusoid in twice the angle.  Each
-one-dimensional subproblem is therefore solved by a dense scan over one
-period followed by golden-section refinement of the bracketing interval.
+With x(t) = (1, cos 2t, sin 2t), each player's desk probabilities are
+linear in x of that player's angle, so the payoff is exactly the bilinear
+form h(alpha, beta) = x(alpha)^T K x(beta) for a 3x3 real kernel K built
+from the stakes and both frames.  For fixed alpha, h(alpha, .) is
+r0 + r1 cos 2beta + r2 sin 2beta with r = K^T x(alpha), whose minimum is
+r0 - |(r1, r2)|.  Alice's maximin is the maximum of that one-angle
+function; Bob's minimax is the same computation on -K^T.
 
-``refine_saddle`` alternates a maximizing search in alpha with a
-minimizing search in beta, accepting a move only when it improves by
-more than ``tol``; a point no search can improve is an approximate
-saddle.  Best-response alternation can cycle when the game has no
-pure-angle saddle (and near interior saddles when seeded off them), so
-after ``max_iter`` sweeps the search falls back to refining the maximin
-and minimax profiles directly and reports them with flags.
+``refine_saddle`` solves both with one vectorized scan per player and a
+golden-section polish of every local maximum of the scan.  The game has a
+saddle exactly when the two one-sided values meet.  ``payoff_surface``,
+the grid oracle and ``verify_saddle`` evaluate the probability map
+directly and stay independent of the kernel.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import probabilities_from_angle
-from .quantum import GameSpec, scalar_payoff
+from .quantum import GameSpec, angle_gap, reduce_angle, scalar_payoff
 from .classical import ClassicalMatrix
 
 FLAG_NO_CONVERGENCE = "no_convergence"
@@ -32,7 +33,14 @@ FLAG_NOT_STATIONARY = "not_stationary"
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_X_TOL = 1e-12
-_SCAN_N = 64
+#: points per period in the scan of a one-sided objective
+_SCAN_POINTS = 512
+_SCAN_T = np.arange(_SCAN_POINTS) * (math.pi / _SCAN_POINTS)
+#: rows x(t) = (1, cos 2t, sin 2t) at the scan angles
+_SCAN_X = np.stack([np.ones(_SCAN_POINTS), np.cos(2.0 * _SCAN_T), np.sin(2.0 * _SCAN_T)],
+                   axis=1)
+#: objective values this close, relative to the kernel's mass, are ties
+_TIE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,26 +96,44 @@ def payoff_surface(spec: GameSpec, alpha: float, beta: float) -> float:
     return scalar_payoff(spec.coefficients, p, q).total
 
 
-def payoff_gradient(spec: GameSpec, alpha: float, beta: float) -> tuple[float, float]:
-    """Analytic (d h / d alpha, d h / d beta) at the given angles."""
-    p = probabilities_from_angle(alpha, spec.alice_frame)
-    q = probabilities_from_angle(beta, spec.bob_frame)
+def payoff_kernel(spec: GameSpec) -> np.ndarray:
+    """The 3x3 K with h(alpha, beta) = x(alpha)^T K x(beta), x(t) = (1, cos 2t, sin 2t).
+
+    Each player has p1 = u1 . x and p2 = u2 . x with u1 = (1, 1, 0) / 2 and
+    u2 = (1, cos 2*theta, sin 2*theta cos lam) / 2; the complements are
+    e0 - u, because 1 = e0 . x.
+    """
     c = spec.coefficients
-    a = alpha % math.pi
-    b = beta % math.pi
+    e0 = np.array([1.0, 0.0, 0.0])
+    a1, a2 = _probability_rows(spec.alice_frame)
+    b1, b2 = _probability_rows(spec.bob_frame)
+    return (c.c3 * np.outer(a1, e0 - b1) + c.c1 * np.outer(e0 - a1, b1)
+            + c.c4 * np.outer(a2, e0 - b2) + c.c2 * np.outer(e0 - a2, b2))
 
-    s2a, c2a = math.sin(2.0 * a), math.cos(2.0 * a)
-    fa = spec.alice_frame
-    dp2 = -s2a * math.cos(2.0 * fa.theta) \
-        + c2a * math.sin(2.0 * fa.theta) * math.cos(fa.lam)
-    d_alpha = s2a * (c.c1 * q.p1 - c.c3 * q.p3) + dp2 * (c.c4 * q.p4 - c.c2 * q.p2)
 
-    s2b, c2b = math.sin(2.0 * b), math.cos(2.0 * b)
-    fb = spec.bob_frame
-    dq2 = -s2b * math.cos(2.0 * fb.theta) \
-        + c2b * math.sin(2.0 * fb.theta) * math.cos(fb.lam)
-    d_beta = s2b * (c.c3 * p.p1 - c.c1 * p.p3) + dq2 * (c.c2 * p.p4 - c.c4 * p.p2)
-    return d_alpha, d_beta
+def _probability_rows(frame) -> tuple[np.ndarray, np.ndarray]:
+    two_theta = 2.0 * frame.theta
+    return (np.array([0.5, 0.5, 0.0]),
+            0.5 * np.array([1.0, math.cos(two_theta),
+                            math.sin(two_theta) * math.cos(frame.lam)]))
+
+
+def _x(t: float) -> np.ndarray:
+    return np.array([1.0, math.cos(2.0 * t), math.sin(2.0 * t)])
+
+
+def _dx(t: float) -> np.ndarray:
+    return np.array([0.0, -2.0 * math.sin(2.0 * t), 2.0 * math.cos(2.0 * t)])
+
+
+def payoff_gradient(spec: GameSpec, alpha: float, beta: float) -> tuple[float, float]:
+    """Analytic (d h / d alpha, d h / d beta) at the given angles.
+
+    They are x'(alpha)^T K x(beta) and x(alpha)^T K x'(beta) on the kernel.
+    """
+    k = payoff_kernel(spec)
+    return (float(_dx(alpha) @ k @ _x(beta)),
+            float(_x(alpha) @ k @ _dx(beta)))
 
 
 def _probability_arrays(angles: np.ndarray, frame) -> tuple[np.ndarray, np.ndarray]:
@@ -155,12 +181,6 @@ def grid_saddle_oracle(spec: GameSpec, n: int = 256) -> EquilibriumResult:
                              max_min, min_max, certificate)
 
 
-def _reduce_angle(x: float) -> float:
-    """Reduce to [0, pi); a hair-negative input can otherwise round to pi."""
-    x = x % math.pi
-    return 0.0 if x >= math.pi else x
-
-
 def _golden_max(f, lo: float, hi: float, x_tol: float) -> tuple[float, float]:
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
@@ -178,111 +198,74 @@ def _golden_max(f, lo: float, hi: float, x_tol: float) -> tuple[float, float]:
     return x, f(x)
 
 
-def _line_max(f, f_vec=None, scan_n: int = _SCAN_N) -> tuple[float, float]:
-    """Maximize a pi-periodic function: dense scan, then golden section.
+def _security_level(k: np.ndarray, seed: float) -> tuple[float, float]:
+    """The angle t maximizing min_s x(t)^T k x(s), and that maximin value.
 
-    Returns the first (smallest-angle) maximizer among ties; on flat
-    functions this keeps the scan point, which makes the caller's
-    improvement gating stable.
+    The inner minimum is r0 - |(r1, r2)| with r = k^T x(t).  It is scanned
+    on a uniform grid and every local maximum of the scan is polished by
+    golden section.  Of the polished maxima and the seed itself, the one
+    nearest ``seed`` wins among those tied within rounding.
     """
-    xs = np.arange(scan_n) * (math.pi / scan_n)
-    vals = f_vec(xs) if f_vec is not None else np.array([f(x) for x in xs])
-    k = int(np.argmax(vals))
-    lo = xs[k] - math.pi / scan_n
-    hi = xs[k] + math.pi / scan_n
-    x, v = _golden_max(f, lo, hi, _GOLDEN_X_TOL)
-    if vals[k] >= v:
-        return float(xs[k]), float(vals[k])
-    return _reduce_angle(x), float(v)
+    columns = k.T.tolist()
 
+    def level(t: float) -> float:  # scalar, for the polish
+        c2, s2 = math.cos(2.0 * t), math.sin(2.0 * t)
+        r0, r1, r2 = (k0 + c2 * k1 + s2 * k2 for k0, k1, k2 in columns)
+        return r0 - math.hypot(r1, r2)
 
-def _line_min(f, f_vec=None, scan_n: int = _SCAN_N) -> tuple[float, float]:
-    neg_vec = None if f_vec is None else (lambda xs: -f_vec(xs))
-    x, v = _line_max(lambda t: -f(t), neg_vec, scan_n)
-    return x, -v
+    r = _SCAN_X @ k
+    f = r[:, 0] - np.hypot(r[:, 1], r[:, 2])
+    # Strict on the left, so a scan that is exactly flat has no peaks.
+    peaks = np.flatnonzero((f > np.roll(f, 1)) & (f >= np.roll(f, -1)))
+    step = math.pi / _SCAN_POINTS
+    found = [_golden_max(level, t - step, t + step, _GOLDEN_X_TOL)
+             for t in _SCAN_T[peaks]]
+    found.append((seed, level(seed)))
+    best = max(v for _, v in found)
+    tie = best - _TIE_RTOL * (1.0 + float(np.abs(k).sum()))
+    t, v = min((tv for tv in found if tv[1] >= tie),
+               key=lambda tv: angle_gap(tv[0], seed))
+    return reduce_angle(float(t)), float(v)
 
 
 def refine_saddle(
     spec: GameSpec,
     seed: tuple[float, float],
     tol: float = 1e-9,
-    max_iter: int = 60,
 ) -> EquilibriumResult:
-    """Polish a saddle candidate by alternating exact line searches.
+    """Solve the angle game on the payoff kernel; ``seed`` breaks ties.
 
-    A move in either angle is accepted only if it improves that player's
-    objective by more than ``tol``; when neither player can move the
-    iterate is an approximate saddle and the analytic gradient is checked
-    for stationarity.  If alternation fails to settle within ``max_iter``
-    sweeps (best responses cycle when no pure-angle saddle exists), the
-    maximin alpha and minimax beta are refined directly instead and the
-    result carries the no-convergence flag; a gap between the two
-    one-sided values additionally raises the no-saddle flag.
+    ``alpha_star`` attains Alice's maximin and ``beta_star`` Bob's
+    minimax, each found by a scan and a golden-section polish of every
+    local maximum (see the module docstring).  Among optima tied within
+    rounding, each angle is the one nearest its seed, so a seed that is
+    already a saddle comes back unchanged.  ``value`` is h(alpha_star,
+    beta_star).  When the one-sided values differ by more than
+    max(10*tol, 1e-8) the game has no saddle, and the result carries the
+    no-saddle and no-convergence flags together.  Otherwise the analytic
+    gradient at the profile is checked for stationarity.
     """
-    a = seed[0] % math.pi
-    b = seed[1] % math.pi
-
-    def h(x: float, y: float) -> float:
-        return payoff_surface(spec, x, y)
-
-    converged = False
-    up = down = h(a, b)
-    for _ in range(max_iter):
-        moved = False
-        v_here = h(a, b)
-        a_cand, up = _line_max(
-            lambda x: h(x, b),
-            f_vec=lambda xs: _surface_grid(spec, xs, np.array([b]))[:, 0],
-        )
-        if up - v_here > tol:
-            a = a_cand
-            moved = True
-        v_here = h(a, b)
-        b_cand, down = _line_min(
-            lambda y: h(a, y),
-            f_vec=lambda ys: _surface_grid(spec, np.array([a]), ys)[0, :],
-        )
-        if v_here - down > tol:
-            b = b_cand
-            moved = True
-        if not moved:
-            converged = True
-            break
+    k = payoff_kernel(spec)
+    a, max_min = _security_level(k, reduce_angle(seed[0]))
+    b, neg_min_max = _security_level(-k.T, reduce_angle(seed[1]))
+    min_max = -neg_min_max
+    value = float(_x(a) @ k @ _x(b))
 
     flags: list[str] = []
-    if converged:
-        value = h(a, b)
-        max_min, min_max = down, up
+    if min_max - max_min > max(10.0 * tol, 1e-8):
+        flags += [FLAG_NO_CONVERGENCE, FLAG_NO_SADDLE]
+    else:
         grad = payoff_gradient(spec, a, b)
-        # A value gate of tol on a sinusoid of amplitude R leaves the
-        # iterate within sqrt(tol / 2R) of the peak, hence a gradient of
-        # at most sqrt(8 R tol); R is bounded by the coefficient mass.
+        # With no gap, each angle is a best response to the other.  Being
+        # within tol of the peak of a sinusoid of amplitude R leaves an angle
+        # within sqrt(tol / 2R) of it, hence a gradient of at most
+        # sqrt(8 R tol); R is bounded by the coefficient mass.
         mass = sum(abs(x) for x in spec.coefficients.as_tuple())
         grad_tol = math.sqrt(8.0 * tol * (mass + 1.0)) + 100.0 * tol
         if max(abs(grad[0]), abs(grad[1])) > grad_tol:
             flags.append(FLAG_NOT_STATIONARY)
-    else:
-        flags.append(FLAG_NO_CONVERGENCE)
-
-        def worst_case_for_alice(x: float) -> float:
-            return _line_min(
-                lambda y: h(x, y),
-                f_vec=lambda ys: _surface_grid(spec, np.array([x]), ys)[0, :],
-            )[1]
-
-        def worst_case_for_bob(y: float) -> float:
-            return _line_max(
-                lambda x: h(x, y),
-                f_vec=lambda xs: _surface_grid(spec, xs, np.array([y]))[:, 0],
-            )[1]
-
-        a, max_min = _line_max(worst_case_for_alice, scan_n=128)
-        b, min_max = _line_min(worst_case_for_bob, scan_n=128)
-        value = h(a, b)
 
     certificate = max(0.0, min_max - value, value - max_min)
-    if min_max - max_min > max(10.0 * tol, 1e-8):
-        flags.append(FLAG_NO_SADDLE)
     return EquilibriumResult(a, b, value, max_min, min_max, certificate,
                              tuple(flags))
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .quantum import ObservableFrame, ProbabilityQuadruple
+from .quantum import ObservableFrame, ProbabilityQuadruple, angle_gap
 
 #: default tolerance for curve-membership decisions
 MEMBERSHIP_TOL = 1e-9
@@ -149,11 +149,6 @@ def angles_for_point(
 
     matches: list[float] = []
     for _, a in sorted(scored):  # keep the best representative of each cluster
-        if not any(_angle_gap(a, seen) < 1e-7 for seen in matches):
+        if not any(angle_gap(a, seen) < 1e-7 for seen in matches):
             matches.append(a)
     return sorted(matches)
-
-
-def _angle_gap(a: float, b: float) -> float:
-    d = abs(a - b) % math.pi
-    return min(d, math.pi - d)

@@ -19,6 +19,22 @@ ATOL = 1e-12
 TWO_PI = 2.0 * math.pi
 
 
+def reduce_angle(x: float, period: float = math.pi) -> float:
+    """``x`` modulo ``period``, in [0, period).
+
+    A hair-negative ``x`` modulo ``period`` rounds to ``period`` itself; it
+    maps to 0 here.
+    """
+    x = x % period
+    return 0.0 if x >= period else x
+
+
+def angle_gap(a: float, b: float) -> float:
+    """Distance between two strategy angles on the circle of period pi."""
+    d = abs(a - b) % math.pi
+    return min(d, math.pi - d)
+
+
 def _frozen(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -48,8 +64,8 @@ class ObservableFrame:
     def __post_init__(self):
         if not (math.isfinite(self.theta) and math.isfinite(self.lam)):
             raise ValueError("frame angles must be finite")
-        object.__setattr__(self, "theta", self.theta % math.pi)
-        object.__setattr__(self, "lam", self.lam % TWO_PI)
+        object.__setattr__(self, "theta", reduce_angle(self.theta))
+        object.__setattr__(self, "lam", reduce_angle(self.lam, TWO_PI))
 
 
 @dataclass(frozen=True)

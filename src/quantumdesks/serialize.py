@@ -14,9 +14,14 @@ import math
 
 
 def format_float(x: float) -> str:
+    """``x`` at 17 significant digits; negative zero prints as ``0``.
+
+    "-0" would parse back as the integer 0 and re-serialize as "0", so
+    both zeros print the same.
+    """
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite value {x!r}")
-    return format(x, ".17g")
+    return format(x + 0.0, ".17g")
 
 
 def dumps(obj) -> str:

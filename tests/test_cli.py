@@ -154,6 +154,17 @@ class TestEquilibrium:
         assert "no_convergence" in doc["flags"]
         assert "no_saddle" in doc["flags"]
 
+    def test_cycling_game_exits_0(self, capsys, spec_file):
+        # best-response alternation cycles here, but the game has a saddle
+        cycling = {"c1": -1.0981505377400527, "c2": -1.961827278594611,
+                   "c3": -0.40901892266008977, "c4": 1.1074607257304556,
+                   "alice": {"theta": 1.519351794949105, "lambda": 2.2196913787118056},
+                   "bob": {"tau": 1.8585514607845357, "mu": 1.4784412415750021}}
+        code, doc = run_json(capsys, ["equilibrium", spec_file(cycling)])
+        assert code == 0
+        assert doc["flags"] == []
+        assert doc["max_min"] == pytest.approx(doc["min_max"], abs=1e-12)
+
     def test_tiny_grid_exits_2(self, capsys, spec_file):
         assert main(["equilibrium", spec_file(GENERIC), "--grid-n", "4"]) == 2
 
@@ -164,6 +175,14 @@ class TestEquilibrium:
 
 
 class TestClassical:
+    def test_negative_zero_value_round_trips(self, capsys, spec_file):
+        # a diagonal pure saddle: the solver's value comes out as -0.0
+        spec = {**GENERIC, "c1": -0.8, "c2": -0.4, "c3": 0.5, "c4": 1.5}
+        main(["classical", spec_file(spec)])
+        out = capsys.readouterr().out
+        assert '"value": 0,' in out
+        assert serialize.dumps(json.loads(out)) == out.strip()
+
     def test_symmetric_coefficients_identical_under_both_conventions(
             self, capsys, spec_file):
         _, a = run_json(capsys, ["classical", spec_file(DECOUPLED)])

@@ -21,6 +21,17 @@ from quantumdesks.equilibrium import FLAG_NO_CONVERGENCE, FLAG_NO_SADDLE
 from conftest import make_spec, random_spec
 
 DECOUPLED = make_spec(1, 1, 1, 1)  # theta = tau = 0: two independent desk games
+# Best-response alternation cycles on this game although it has a saddle.
+CYCLING = make_spec(-1.0981505377400527, -1.961827278594611,
+                    -0.40901892266008977, 1.1074607257304556,
+                    theta=1.519351794949105, lam=2.2196913787118056,
+                    tau=1.8585514607845357, mu=1.4784412415750021)
+# Alice's maximin has two near-equal peaks; a 128-point scan of it lands
+# 1.6e-3 below the true maximin and would report a gap that is not there.
+TWIN_PEAKS = make_spec(1.7896301165694202, 0.16551831410018747,
+                       0.23798611027010508, 1.500024361702751,
+                       theta=1.4111352554881489, lam=0.9265394891125263,
+                       tau=1.6130006259466931, mu=1.8659120344359612)
 
 
 class TestPayoffSurface:
@@ -122,6 +133,35 @@ class TestRefineSaddle:
         assert FLAG_NO_SADDLE in got.flags
         assert got.max_min == pytest.approx(-0.5, abs=1e-6)
         assert got.min_max == pytest.approx(0.5, abs=1e-6)
+
+    def test_seed_breaks_ties_between_equal_optima(self):
+        # the decoupled maximin and minimax peak at both pi/4 and 3*pi/4
+        got = refine_saddle(DECOUPLED, (3 * math.pi / 4, 0.1))
+        assert got.alpha_star == pytest.approx(3 * math.pi / 4, abs=1e-9)
+        assert got.beta_star == pytest.approx(math.pi / 4, abs=1e-9)
+        assert got.flags == ()
+
+    def test_cycling_game_has_a_saddle(self):
+        oracle = grid_saddle_oracle(CYCLING, 256)
+        got = refine_saddle(CYCLING, (oracle.alpha_star, oracle.beta_star))
+        assert got.flags == ()
+        assert got.max_min == pytest.approx(got.min_max, abs=1e-12)
+        assert got.value == pytest.approx(-0.0796400252536832, abs=1e-12)
+
+    def test_twin_peaked_maximin_is_not_missed(self):
+        oracle = grid_saddle_oracle(TWIN_PEAKS, 256)
+        got = refine_saddle(TWIN_PEAKS, (oracle.alpha_star, oracle.beta_star))
+        assert got.flags == ()
+        assert got.max_min == pytest.approx(0.360078231518592, abs=1e-12)
+        assert got.min_max == pytest.approx(0.360078231518592, abs=1e-12)
+        assert got.value == pytest.approx(0.360078231518592, abs=1e-12)
+
+    def test_no_convergence_only_with_no_saddle(self, rng):
+        for _ in range(40):
+            spec = random_spec(rng)
+            got = refine_saddle(spec, (rng.uniform(0, math.pi), rng.uniform(0, math.pi)))
+            assert (FLAG_NO_CONVERGENCE in got.flags) == (FLAG_NO_SADDLE in got.flags)
+            assert (FLAG_NO_SADDLE in got.flags) == (got.min_max - got.max_min > 1e-8)
 
     def test_angles_stay_in_range(self, rng):
         for _ in range(10):

@@ -18,6 +18,7 @@ from quantumdesks import (
     scalar_payoff,
     weight,
 )
+from quantumdesks.quantum import reduce_angle
 from conftest import make_spec, random_spec
 
 
@@ -194,6 +195,20 @@ class TestValidation:
         f = ObservableFrame(math.pi + 0.3, -0.5)
         assert f.theta == pytest.approx(0.3, abs=1e-12)
         assert f.lam == pytest.approx(2 * math.pi - 0.5, abs=1e-12)
+
+    def test_frame_normalization_keeps_half_open_ranges(self):
+        # -1e-20 modulo pi rounds to pi itself; the reducer maps it to 0
+        f = ObservableFrame(-1e-20, -1e-20)
+        assert f.theta == 0.0
+        assert f.lam == 0.0
+        assert 0.0 <= ObservableFrame(-1e-17, -1e-17).theta < math.pi
+        assert 0.0 <= ObservableFrame(-1e-17, -1e-17).lam < 2 * math.pi
+
+    def test_reduce_angle(self):
+        assert reduce_angle(-1e-20) == 0.0
+        assert reduce_angle(-1e-20, 2 * math.pi) == 0.0
+        assert reduce_angle(math.pi) == 0.0
+        assert reduce_angle(7.0, 2 * math.pi) == pytest.approx(7.0 - 2 * math.pi)
 
     def test_frame_rejects_non_finite(self):
         with pytest.raises(ValueError):
