@@ -4,7 +4,7 @@ Exit codes are frozen for scripting:
 
     0  success
     2  usage error or malformed spec file
-    3  non-finite numeric value in the spec
+    3  non-finite numeric value in the spec, or an integer beyond the float range
     4  output I/O failure
     5  no saddle: the one-sided values differ (report is still printed)
 
@@ -15,9 +15,10 @@ Game specs are single JSON documents:
      "bob": {"tau": 0.7854, "mu": 0.0},
      "degrees": false}
 
-Angles are radians unless "degrees" is true; the phase entries
-("lambda", "mu") default to 0.  All floats are printed with 17
-significant digits so output parses back to the exact values.
+Angles are radians unless "degrees" is true ("degrees" must be a JSON
+boolean); the phase entries ("lambda", "mu") default to 0.  All floats
+are printed with 17 significant digits so output parses back to the
+exact values.
 """
 
 from __future__ import annotations
@@ -72,9 +73,13 @@ def _spec_number(doc: dict, key: str, where: str) -> float:
     val = doc[key]
     if isinstance(val, bool) or not isinstance(val, (int, float)):
         raise SpecFileError(f"field {key!r} in {where} must be a number")
+    try:
+        val = float(val)
+    except OverflowError:  # an integer beyond the float range
+        val = math.inf
     if not math.isfinite(val):
         raise NonFiniteSpecError(f"field {key!r} in {where} is not finite")
-    return float(val)
+    return val
 
 
 def load_game_spec(path: str) -> GameSpec:
@@ -86,12 +91,16 @@ def load_game_spec(path: str) -> GameSpec:
         raise SpecFileError(f"cannot read spec file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SpecFileError(f"spec file {path} is not valid JSON: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # bytes that are not UTF-8, an integer too long to read, or nesting too deep
+        raise SpecFileError(f"cannot parse spec file {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFileError(f"spec file {path} must contain a JSON object")
 
-    to_radians = 1.0
-    if doc.get("degrees", False):
-        to_radians = math.pi / 180.0
+    degrees = doc.get("degrees", False)
+    if not isinstance(degrees, bool):
+        raise SpecFileError("field 'degrees' in spec must be true or false")
+    to_radians = math.pi / 180.0 if degrees else 1.0
 
     coeffs = PayoffCoefficients(
         c1=_spec_number(doc, "c1", "spec"),

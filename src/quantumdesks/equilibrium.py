@@ -13,6 +13,11 @@ golden-section polish of every local maximum of the scan.  The game has a
 saddle exactly when the two one-sided values meet.  ``payoff_surface``,
 the grid oracle and ``verify_saddle`` evaluate the probability map
 directly and stay independent of the kernel.
+
+The compound 4x4 matrix game of ``classical`` is the odd-desk 2x2 game
+plus the even-desk 2x2 game.  ``solve_classical`` solves the two desk
+games in closed form and keeps support enumeration for any 4x4 matrix
+without that structure.
 """
 
 from __future__ import annotations
@@ -24,8 +29,9 @@ from itertools import combinations
 import numpy as np
 
 from .geometry import probabilities_from_angle
-from .quantum import GameSpec, angle_gap, reduce_angle, scalar_payoff
-from .classical import ClassicalMatrix
+from .quantum import (GameSpec, ProbabilityQuadruple, angle_gap, reduce_angle,
+                      scalar_payoff)
+from .classical import ClassicalMatrix, independent_joint
 
 FLAG_NO_CONVERGENCE = "no_convergence"
 FLAG_NO_SADDLE = "no_saddle"
@@ -41,6 +47,8 @@ _SCAN_X = np.stack([np.ones(_SCAN_POINTS), np.cos(2.0 * _SCAN_T), np.sin(2.0 * _
                    axis=1)
 #: objective values this close, relative to the kernel's mass, are ties
 _TIE_RTOL = 1e-12
+#: a matrix is a desk sum when it fits one within this, relative to 1 + max|m|
+_DESK_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -287,17 +295,106 @@ def verify_saddle(spec: GameSpec, result: EquilibriumResult, n: int = 256) -> fl
 def solve_classical(m: ClassicalMatrix, tol: float = 1e-9) -> ClassicalSolution:
     """Value and optimal mixed strategies of the 4x4 zero-sum matrix game.
 
-    Enumerates all 225 support pairs in a fixed (size, lexicographic)
-    order; for each pair the payoff-equalization system is solved as a
-    small linear system and the candidate is kept only if it passes the
-    optimality inequalities.  The first verified pair is returned; the
-    solution is flagged degenerate when verified pairs realize more than
-    one distinct support (the same strategies re-verifying under padded
-    supersets do not count).
+    Compound strategy i plays odd-desk action a_i = i // 2 and even-desk
+    action b_i = i % 2.  When m[i, j] = O[a_i, a_j] + E[b_i, b_j] within
+    1e-12 * (1 + max|m|) for 2x2 desk games O and E, as every
+    ``classical_matrix`` is, each desk game is solved in closed form: the
+    value is v_O + v_E, and each player's strategy is the product joint of
+    their two optimal desk marginals.  That result is checked against the
+    optimality inequalities at tol * (1 + max|m|).  Any other matrix, or a
+    result that fails the check, goes to support enumeration.
+
+    ``degenerate`` means some player has more than one optimal joint.  For a
+    desk sum that holds when a desk game has more than one optimal marginal
+    for either player, or when a player mixes on both desks, because every
+    joint with the optimal marginals is then optimal; desk-game entries
+    within tol * (1 + max|m|) count as tied.  For enumeration it holds when
+    verified support pairs realize more than one distinct support.
     """
     M = np.asarray(m.entries, dtype=float)
-    scale = 1.0 + float(np.max(np.abs(M)))
+    solution = _solve_desk_sum(M, tol)
+    if solution is None:
+        solution = _solve_by_support_enumeration(m, tol)
+    return solution
+
+
+def _solve_desk_sum(M: np.ndarray, tol: float) -> ClassicalSolution | None:
+    """The closed-form desk solution; None unless ``M`` is a desk sum it solves."""
+    scale = 1.0 + float(np.abs(M).max())
     check_tol = tol * scale
+    odd = M[::2, ::2]
+    even = M[:2, :2] - M[0, 0]
+    # M.reshape(2, 2, 2, 2)[a, b, a', b'] is M[2a + b, 2a' + b']
+    misfit = float(np.abs(M.reshape(2, 2, 2, 2)
+                          - (odd[:, None, :, None] + even[None, :, None, :])).max())
+    if not misfit <= _DESK_RTOL * scale:
+        return None
+    v_odd, p_odd, q_odd, loose_odd = _solve_2x2(odd.tolist(), check_tol)
+    v_even, p_even, q_even, loose_even = _solve_2x2(even.tolist(), check_tol)
+    value = v_odd + v_even
+    x = independent_joint(ProbabilityQuadruple(p_odd, p_even, 1.0 - p_odd,
+                                               1.0 - p_even)).as_vector()
+    y = independent_joint(ProbabilityQuadruple(q_odd, q_even, 1.0 - q_odd,
+                                               1.0 - q_even)).as_vector()
+    if not ((x @ M).min() >= value - check_tol and (M @ y).max() <= value + check_tol):
+        return None
+    mixes_both = (0.0 < p_odd < 1.0 and 0.0 < p_even < 1.0) or \
+        (0.0 < q_odd < 1.0 and 0.0 < q_even < 1.0)
+    return ClassicalSolution(x, y, value,
+                             degenerate=loose_odd or loose_even or mixes_both)
+
+
+def _solve_2x2(g: list, eq: float) -> tuple[float, float, float, bool]:
+    """Value of the 2x2 game ``g`` (rows maximize) and the players' weights on
+    their first actions, plus whether either player's optimum is not unique.
+
+    A pure saddle is taken when there is one, the lowest (row, column)
+    first; otherwise both players mix.  Entries within ``eq`` count as equal
+    when judging uniqueness.
+    """
+    (a, b), (c, d) = g
+    saddle = next(((i, j) for i in (0, 1) for j in (0, 1)
+                   if g[i][1 - j] >= g[i][j] >= g[1 - i][j]), None)
+    if saddle is not None:
+        i, j = saddle
+        v, p, q = g[i][j], 1.0 - i, 1.0 - j
+    else:
+        den = (a - b) + (d - c)  # both terms share one sign without a saddle
+        v, p, q = (a * d - b * c) / den, (d - c) / den, (d - b) / den
+    loose = _rows_have_many_optima(g, v, eq) or \
+        _rows_have_many_optima([[-a, -c], [-b, -d]], -v, eq)
+    return v, p, q, loose
+
+
+def _rows_have_many_optima(g: list, v: float, eq: float) -> bool:
+    """Whether the row player of the 2x2 game ``g`` of value ``v`` has more
+    than one optimal mix.
+
+    The guaranteed payoff is the lower of two lines in the mix, so it is flat
+    at its peak only when some column pays v against both rows.  The optima
+    then form an interval unless the other column pays v on one row and less
+    on the other, which pins the mix to a single point.
+    """
+    for j in (0, 1):
+        if abs(g[0][j] - v) <= eq and abs(g[1][j] - v) <= eq:
+            other = (g[0][1 - j], g[1][1 - j])
+            if max(other) > v + eq or min(other) >= v - eq:
+                return True
+    return False
+
+
+def _solve_by_support_enumeration(m: ClassicalMatrix, tol: float = 1e-9) -> ClassicalSolution:
+    """Solve any 4x4 matrix game by enumerating its 225 support pairs.
+
+    Pairs run in a fixed (size, lexicographic) order; for each pair the
+    payoff-equalization system is solved as a small linear system and the
+    candidate is kept only if it passes the optimality inequalities.  The
+    first verified pair is returned; the solution is flagged degenerate
+    when verified pairs realize more than one distinct support (the same
+    strategies re-verifying under padded supersets do not count).
+    """
+    M = np.asarray(m.entries, dtype=float)
+    check_tol = tol * (1.0 + float(np.max(np.abs(M))))
     supports = [s for k in range(1, 5) for s in combinations(range(4), k)]
 
     first: tuple[np.ndarray, np.ndarray, float] | None = None

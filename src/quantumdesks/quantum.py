@@ -40,6 +40,11 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _within_atol(x: np.ndarray, y: np.ndarray) -> bool:
+    """Whether every entry of ``x`` is within ATOL of ``y``; NaN never is."""
+    return float(np.abs(x - y).max()) <= ATOL
+
+
 def _real_part(value: complex, what: str) -> float:
     """Strip an imaginary residue below ATOL; a larger one is a bug upstream."""
     if abs(value.imag) > ATOL:
@@ -126,9 +131,9 @@ class Projector:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError("projector must be 2x2")
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=ATOL):
+        if not _within_atol(m, m.conj().T):
             raise ValueError("projector must be Hermitian")
-        if not np.allclose(m @ m, m, rtol=0.0, atol=ATOL):
+        if not _within_atol(m @ m, m):
             raise ValueError("projector must be idempotent")
         object.__setattr__(self, "entries", _frozen(m))
 
@@ -143,7 +148,7 @@ class PayoffOperator:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError("payoff operator must be 4x4")
-        if not np.allclose(m, m.conj().T, rtol=0.0, atol=ATOL):
+        if not _within_atol(m, m.conj().T):
             raise ValueError("payoff operator must be Hermitian")
         object.__setattr__(self, "entries", _frozen(m))
 

@@ -88,6 +88,34 @@ class TestEval:
         assert main(["eval", str(path), "--alpha", "0", "--beta", "0"]) == 3
 
 
+class TestHostileSpec:
+    STAKES = '"c2": 1.0, "c3": 1.0, "c4": 1.0, "alice": {"theta": 0.0}, "bob": {"tau": 0.0}'
+
+    def run_eval(self, capsys, tmp_path, text):
+        path = tmp_path / "hostile.json"
+        path.write_text(text)
+        code = main(["eval", str(path), "--alpha", "0", "--beta", "0"])
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        return code
+
+    def test_integer_beyond_float_range_exits_3(self, capsys, tmp_path):
+        text = '{"c1": 1' + "0" * 400 + ", " + self.STAKES + "}"
+        assert self.run_eval(capsys, tmp_path, text) == 3
+
+    def test_integer_too_long_to_read_exits_2(self, capsys, tmp_path):
+        text = '{"c1": ' + "1" * 5000 + ", " + self.STAKES + "}"
+        assert self.run_eval(capsys, tmp_path, text) == 2
+
+    def test_deep_nesting_exits_2(self, capsys, tmp_path):
+        assert self.run_eval(capsys, tmp_path, "[" * 200000) == 2
+
+    def test_non_boolean_degrees_exits_2(self, capsys, tmp_path):
+        text = '{"c1": 1.0, ' + self.STAKES + ', "degrees": "no"}'
+        assert self.run_eval(capsys, tmp_path, text) == 2
+
+
 class TestCurve:
     def test_four_sample_rows(self, capsys, tmp_path, spec_file):
         quarter = {**DECOUPLED, "alice": {"theta": math.pi / 4, "lambda": 0.0}}
@@ -176,7 +204,8 @@ class TestEquilibrium:
 
 class TestClassical:
     def test_negative_zero_value_round_trips(self, capsys, spec_file):
-        # a diagonal pure saddle: the solver's value comes out as -0.0
+        # a diagonal pure saddle of value zero; ``format_float`` must print
+        # zero as 0 whatever its sign (see test_serialize.py)
         spec = {**GENERIC, "c1": -0.8, "c2": -0.4, "c3": 0.5, "c4": 1.5}
         main(["classical", spec_file(spec)])
         out = capsys.readouterr().out

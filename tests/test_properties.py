@@ -1,4 +1,4 @@
-"""Property tests of the payoff kernel and the saddle solver."""
+"""Property tests of the payoff kernel, the saddle solver and the desk split."""
 
 import math
 
@@ -6,13 +6,19 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from quantumdesks import (
+    JointDistribution,
     ObservableFrame,
+    PayoffCoefficients,
+    classical_matrix,
     grid_saddle_oracle,
+    is_product_form,
     payoff_kernel,
     payoff_surface,
     refine_saddle,
+    solve_classical,
+    swapped_labels,
 )
-from quantumdesks.equilibrium import FLAG_NO_SADDLE
+from quantumdesks.equilibrium import FLAG_NO_SADDLE, _solve_by_support_enumeration
 from conftest import make_spec
 
 # Derandomized, so every run checks the same examples.
@@ -27,6 +33,14 @@ tilts = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 
 phases = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]),
                    st.floats(0.0, 2 * math.pi))
 specs = st.builds(make_spec, stakes, stakes, stakes, stakes, tilts, phases, tilts, phases)
+# Integer stakes and stakes of one magnitude make desk games with ties and
+# pure saddles; floats cover the rest.
+stake_sets = st.one_of(
+    st.tuples(*[st.integers(-3, 3).map(float)] * 4),
+    st.builds(lambda size, signs: tuple(size * s for s in signs),
+              st.floats(0.0, 3.0), st.tuples(*[st.sampled_from([-1.0, 0.0, 1.0])] * 4)),
+    st.tuples(*[stakes] * 4),
+)
 angles = st.one_of(st.sampled_from([-1e-20, 0.0, math.pi, 2 * math.pi]),
                    st.floats(-10.0, 10.0))
 
@@ -103,3 +117,21 @@ def test_frame_angles_in_half_open_ranges(theta, lam):
     frame = ObservableFrame(theta, lam)
     assert 0.0 <= frame.theta < math.pi
     assert 0.0 <= frame.lam < 2 * math.pi
+
+
+@settings(PROPERTY, max_examples=200)
+@given(stake_sets, st.booleans())
+def test_desk_split_matches_support_enumeration(c, swapped):
+    coefficients = PayoffCoefficients(*c)
+    m = classical_matrix(swapped_labels(coefficients) if swapped else coefficients)
+    got = solve_classical(m)
+    want = _solve_by_support_enumeration(m)
+    assert abs(got.value - want.value) <= 1e-12 * (1.0 + sum(abs(v) for v in c))
+    tol = 1e-9 * (1.0 + np.abs(m.entries).max())
+    assert (got.alice_mixed @ m.entries).min() >= got.value - tol
+    assert (m.entries @ got.bob_mixed).max() <= got.value + tol
+    assert is_product_form(JointDistribution(*got.alice_mixed))
+    assert is_product_form(JointDistribution(*got.bob_mixed))
+    if not got.degenerate:  # the optimal joints are unique, so enumeration finds them
+        assert np.abs(got.alice_mixed - want.alice_mixed).max() <= 1e-9
+        assert np.abs(got.bob_mixed - want.bob_mixed).max() <= 1e-9

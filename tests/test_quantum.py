@@ -6,6 +6,7 @@ import pytest
 from quantumdesks import (
     ObservableFrame,
     PayoffCoefficients,
+    PayoffOperator,
     ProbabilityQuadruple,
     Projector,
     StateVector,
@@ -225,6 +226,22 @@ class TestValidation:
     def test_projector_rejects_non_idempotent(self):
         with pytest.raises(ValueError):
             Projector(np.array([[0.5, 0.0], [0.0, 0.5]]))
+
+    def test_projector_rejects_nan(self):
+        with pytest.raises(ValueError):
+            Projector(np.array([[1.0, 0.0], [0.0, math.nan]]))
+
+    def test_payoff_operator_rejects_non_hermitian(self):
+        m = np.zeros((4, 4))
+        m[0, 1] = 1.0
+        with pytest.raises(ValueError):
+            PayoffOperator(m)
+
+    def test_payoff_operator_rejects_nan(self):
+        m = np.zeros((4, 4))
+        m[2, 2] = math.nan
+        with pytest.raises(ValueError):
+            PayoffOperator(m)
 
     def test_quadruple_rejects_bad_sums(self):
         with pytest.raises(ValueError):
