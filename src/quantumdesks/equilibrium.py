@@ -10,9 +10,10 @@ function; Bob's minimax is the same computation on -K^T.
 
 ``refine_saddle`` solves both with one vectorized scan per player and a
 golden-section polish of every local maximum of the scan.  The game has a
-saddle exactly when the two one-sided values meet.  ``payoff_surface``,
-the grid oracle and ``verify_saddle`` evaluate the probability map
-directly and stay independent of the kernel.
+saddle exactly when the two one-sided values meet.  The grid oracle and
+``verify_saddle`` evaluate the same kernel on rows of x at uniform angles.
+The scalar ``payoff_surface`` evaluates the probability map directly and
+is the reference the kernel is tested against.
 
 The compound 4x4 matrix game of ``classical`` is the odd-desk 2x2 game
 plus the even-desk 2x2 game.  ``solve_classical`` solves the two desk
@@ -39,12 +40,17 @@ FLAG_NOT_STATIONARY = "not_stationary"
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 _GOLDEN_X_TOL = 1e-12
+
+
+def _angle_rows(n: int) -> np.ndarray:
+    """Rows x(t) = (1, cos 2t, sin 2t) at the n angles t = k*pi/n, k = 0..n-1."""
+    t = np.arange(n) * (math.pi / n)
+    return np.stack([np.ones(n), np.cos(2.0 * t), np.sin(2.0 * t)], axis=1)
+
+
 #: points per period in the scan of a one-sided objective
 _SCAN_POINTS = 512
-_SCAN_T = np.arange(_SCAN_POINTS) * (math.pi / _SCAN_POINTS)
-#: rows x(t) = (1, cos 2t, sin 2t) at the scan angles
-_SCAN_X = np.stack([np.ones(_SCAN_POINTS), np.cos(2.0 * _SCAN_T), np.sin(2.0 * _SCAN_T)],
-                   axis=1)
+_SCAN_X = _angle_rows(_SCAN_POINTS)
 #: objective values this close, relative to the kernel's mass, are ties
 _TIE_RTOL = 1e-12
 #: a matrix is a desk sum when it fits one within this, relative to 1 + max|m|
@@ -144,39 +150,17 @@ def payoff_gradient(spec: GameSpec, alpha: float, beta: float) -> tuple[float, f
             float(_x(alpha) @ k @ _dx(beta)))
 
 
-def _probability_arrays(angles: np.ndarray, frame) -> tuple[np.ndarray, np.ndarray]:
-    a = np.mod(np.asarray(angles, dtype=float), math.pi)
-    ca, sa = np.cos(a), np.sin(a)
-    ct, st = math.cos(frame.theta), math.sin(frame.theta)
-    p1 = ca * ca
-    p2 = ca * ca * (ct * ct) + sa * sa * (st * st) \
-        + 2.0 * ca * sa * ct * st * math.cos(frame.lam)
-    np.clip(p2, 0.0, 1.0, out=p2)
-    return p1, p2
-
-
-def _surface_grid(spec: GameSpec, alphas: np.ndarray, betas: np.ndarray) -> np.ndarray:
-    """h on the alpha x beta grid, shape (len(alphas), len(betas))."""
-    c = spec.coefficients
-    p1, p2 = _probability_arrays(alphas, spec.alice_frame)
-    q1, q2 = _probability_arrays(betas, spec.bob_frame)
-    p3, p4 = 1.0 - p1, 1.0 - p2
-    q3, q4 = 1.0 - q1, 1.0 - q2
-    return (c.c3 * np.outer(p1, q3) + c.c1 * np.outer(p3, q1)
-            + c.c4 * np.outer(p2, q4) + c.c2 * np.outer(p4, q2))
-
-
 def grid_saddle_oracle(spec: GameSpec, n: int = 256) -> EquilibriumResult:
     """Exhaustive saddle search on the n x n angle grid over [0, pi)^2.
 
+    The grid is h = X K X^T on the payoff kernel, X the rows x(k*pi/n).
     Deterministic: ties are broken toward the smallest alpha, then the
     smallest beta.  Serves as the reference oracle for the refiner.
     """
     if n < 8:
         raise ValueError("grid resolution must be at least 8")
-    alphas = np.arange(n) * (math.pi / n)
-    betas = np.arange(n) * (math.pi / n)
-    h = _surface_grid(spec, alphas, betas)
+    x = _angle_rows(n)
+    h = x @ payoff_kernel(spec) @ x.T
     row_min = h.min(axis=1)
     col_max = h.max(axis=0)
     i = int(np.argmax(row_min))
@@ -185,8 +169,8 @@ def grid_saddle_oracle(spec: GameSpec, n: int = 256) -> EquilibriumResult:
     min_max = float(col_max[j])
     value = float(h[i, j])
     certificate = max(0.0, min_max - value, value - max_min)
-    return EquilibriumResult(float(alphas[i]), float(betas[j]), value,
-                             max_min, min_max, certificate)
+    step = math.pi / n
+    return EquilibriumResult(i * step, j * step, value, max_min, min_max, certificate)
 
 
 def _golden_max(f, lo: float, hi: float, x_tol: float) -> tuple[float, float]:
@@ -227,7 +211,7 @@ def _security_level(k: np.ndarray, seed: float) -> tuple[float, float]:
     peaks = np.flatnonzero((f > np.roll(f, 1)) & (f >= np.roll(f, -1)))
     step = math.pi / _SCAN_POINTS
     found = [_golden_max(level, t - step, t + step, _GOLDEN_X_TOL)
-             for t in _SCAN_T[peaks]]
+             for t in peaks * step]
     found.append((seed, level(seed)))
     best = max(v for _, v in found)
     tie = best - _TIE_RTOL * (1.0 + float(np.abs(k).sum()))
@@ -281,14 +265,15 @@ def refine_saddle(
 def verify_saddle(spec: GameSpec, result: EquilibriumResult, n: int = 256) -> float:
     """Deviation bound for a candidate saddle, measured on an n-point grid.
 
-    Returns max(0, max_alpha h(alpha, beta*) - v, v - min_beta h(alpha*, beta));
-    a small value certifies that neither player gains much by deviating
-    to any grid angle.
+    Returns max(0, max_alpha h(alpha, beta*) - v, v - min_beta h(alpha*, beta))
+    over the angles k*pi/n, with h evaluated on the payoff kernel; a small
+    value certifies that neither player gains much by deviating to any
+    grid angle.
     """
-    alphas = np.arange(n) * (math.pi / n)
-    betas = np.arange(n) * (math.pi / n)
-    best_dev_alice = float(_surface_grid(spec, alphas, np.array([result.beta_star])).max())
-    best_dev_bob = float(_surface_grid(spec, np.array([result.alpha_star]), betas).min())
+    k = payoff_kernel(spec)
+    x = _angle_rows(n)
+    best_dev_alice = float((x @ (k @ _x(result.beta_star))).max())
+    best_dev_bob = float((x @ (k.T @ _x(result.alpha_star))).min())
     return max(0.0, best_dev_alice - result.value, result.value - best_dev_bob)
 
 
@@ -438,7 +423,9 @@ def _equalizing_weights(payoffs, eq_idx, var_idx, tol):
 
     Solves the bordered linear system (one equation per equalized index
     plus the normalization row); returns None when the system is
-    inconsistent or the weights dip below -tol.
+    inconsistent or the weights dip below -tol.  A solve that is not finite,
+    as on stakes of subnormal size, counts as singular, and a solution that
+    is not finite is rejected.
     """
     k = len(var_idx)
     rows = len(eq_idx) + 1
@@ -456,9 +443,9 @@ def _equalizing_weights(payoffs, eq_idx, var_idx, tol):
             sol = np.linalg.solve(A, rhs)
         except np.linalg.LinAlgError:
             sol = None
-    if sol is None:
+    if sol is None or not np.isfinite(sol).all():
         sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    if np.max(np.abs(A @ sol - rhs)) > tol:
+    if not (np.isfinite(sol).all() and np.max(np.abs(A @ sol - rhs)) <= tol):
         return None
 
     weights = np.zeros(payoffs.shape[1])

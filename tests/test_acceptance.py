@@ -257,3 +257,95 @@ def test_criterion_8_analytic_derivatives():
         worst = max(worst, abs(ga - fa), abs(gb - fb))
     _criterion(8, "analytic payoff derivatives match central differences",
                worst < 1e-6, f"worst |diff| = {worst:.3g}")
+
+
+# -- criterion 9: the macroscopic game, solved without the strategy angle --
+
+def _joint(p1: float, p2: float):
+    return independent_joint(ProbabilityQuadruple(p1, p2, 1.0 - p1, 1.0 - p2))
+
+
+def _affine_payoff(c: PayoffCoefficients) -> np.ndarray:
+    """B with bilinear_payoff = (1, p1, p2) B (1, q1, q2)^T on product joints.
+
+    The compound matrix is the sum of two desk games, so the payoff of
+    product joints depends on the desk marginals only, affinely for each
+    player; B follows from its values at the corners (0, 0), (1, 0), (0, 1).
+    """
+    m = classical_matrix(c)
+    corners = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+    g = np.array([[bilinear_payoff(m, _joint(*p), _joint(*q)) for q in corners]
+                  for p in corners])
+    t_inv = np.array([[1.0, 0.0, 0.0], [-1.0, 1.0, 0.0], [-1.0, 0.0, 1.0]])
+    return t_inv @ g @ t_inv.T
+
+
+def _ellipse(frame: ObservableFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Centre and shape matrix S of the frame's conic, from its coefficients.
+
+    The conic is (p - centre)^T Q (p - centre) = r2, so the curve is
+    centre + L (cos phi, sin phi) with L L^T = S = r2 Q^-1.
+    """
+    k = conic_coefficients(frame)
+    q = np.array([[k.a11, k.a12], [k.a12, k.a22]])
+    centre = -0.5 * np.linalg.solve(q, [k.b1, k.b2])
+    r2 = centre @ q @ centre - k.c0
+    return centre, r2 * np.linalg.inv(q)
+
+
+def _ellipse_security_level(b: np.ndarray, own, other, scan: int = 2048) -> float:
+    """max over the own ellipse of min over the other of (1, p) B (1, q)^T.
+
+    The inner minimum of a linear function over an ellipse is its support
+    function w.centre - sqrt(w^T S w).  The outer maximum runs over the own
+    curve's angle phi: a uniform scan, then every local maximum is zoomed
+    into by repeated 33-point scans over two steps on either side.
+    """
+    centre, shape = own
+    other_centre, other_shape = other
+    lower = np.linalg.cholesky(shape)
+
+    def level(phi: np.ndarray) -> np.ndarray:
+        p = centre + np.stack([np.cos(phi), np.sin(phi)], axis=-1) @ lower.T
+        w = b[0] + p @ b[1:]  # rows (w0, w1, w2): the payoff is w0 + (w1, w2) . q
+        ww = w[..., 1:]
+        spread = np.einsum("...i,ij,...j->...", ww, other_shape, ww)
+        return w[..., 0] + ww @ other_centre - np.sqrt(np.maximum(spread, 0.0))
+
+    step = 2.0 * math.pi / scan
+    phi = np.arange(scan) * step
+    f = level(phi)
+    peaks = phi[(f >= np.roll(f, 1)) & (f >= np.roll(f, -1))]
+    offsets = np.linspace(-2.0, 2.0, 33)
+    while step > 1e-14:
+        grid = peaks[:, None] + offsets * step
+        peaks = grid[np.arange(len(grid)), np.argmax(level(grid), axis=1)]
+        step /= 8.0
+    return float(level(peaks).max())
+
+
+def test_criterion_9_macroscopic_game_has_the_quantum_equilibrium():
+    rng = np.random.default_rng(109)
+    games = 0
+    worst = 0.0
+    while games < 24:
+        spec = random_spec(rng)
+        frames = (spec.alice_frame, spec.bob_frame)
+        if min(abs(math.sin(2 * f.theta) * math.cos(f.lam)) for f in frames) < 0.05:
+            continue  # a segment, not an ellipse
+        games += 1
+        b = _affine_payoff(spec.coefficients)
+        direct = bilinear_payoff(classical_matrix(spec.coefficients),
+                                 _joint(0.3, 0.8), _joint(0.6, 0.1))
+        assert abs(np.array([1.0, 0.3, 0.8]) @ b @ np.array([1.0, 0.6, 0.1])
+                   - direct) < 1e-12
+        alice, bob = _ellipse(spec.alice_frame), _ellipse(spec.bob_frame)
+        max_min = _ellipse_security_level(b, alice, bob)
+        min_max = -_ellipse_security_level(-b.T, bob, alice)
+        got = refine_saddle(spec, (0.0, 0.0))
+        mass = 1.0 + sum(abs(x) for x in spec.coefficients.as_tuple())
+        worst = max(worst, abs(got.max_min - max_min) / mass,
+                    abs(got.min_max - min_max) / mass)
+    _criterion(9, "maximin and minimax of the game over the players' probability "
+               "ellipses equal those of the angle game on 24 random games",
+               worst <= 1e-12, f"worst |diff| / (1 + mass) = {worst:.3g}")

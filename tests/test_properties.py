@@ -1,4 +1,5 @@
-"""Property tests of the payoff kernel, the saddle solver and the desk split."""
+"""Property tests of the payoff kernel, the saddle solver, the desk split,
+the probability map and its inverse."""
 
 import math
 
@@ -9,15 +10,22 @@ from quantumdesks import (
     JointDistribution,
     ObservableFrame,
     PayoffCoefficients,
+    StateVector,
+    angles_for_point,
+    build_payoff_operator,
     classical_matrix,
+    expectation,
     grid_saddle_oracle,
     is_product_form,
     payoff_kernel,
     payoff_surface,
+    probabilities_from_angle,
     refine_saddle,
     solve_classical,
     swapped_labels,
+    verify_saddle,
 )
+from quantumdesks.quantum import angle_gap
 from quantumdesks.equilibrium import FLAG_NO_SADDLE, _solve_by_support_enumeration
 from conftest import make_spec
 
@@ -33,6 +41,15 @@ tilts = st.one_of(st.sampled_from([0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 
 phases = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi]),
                    st.floats(0.0, 2 * math.pi))
 specs = st.builds(make_spec, stakes, stakes, stakes, stakes, tilts, phases, tilts, phases)
+frames = st.builds(ObservableFrame, tilts, phases)
+# Frames within 1e-12 of a segment: tilt 0 or pi/2, or phase pi/2 or 3 pi/2.
+near = st.floats(-1e-12, 1e-12)
+near_segment_frames = st.one_of(
+    st.builds(lambda base, d, lam: ObservableFrame(base + d, lam),
+              st.sampled_from([0.0, math.pi / 2, math.pi]), near, phases),
+    st.builds(lambda theta, base, d: ObservableFrame(theta, base + d),
+              tilts, st.sampled_from([math.pi / 2, 3 * math.pi / 2]), near),
+)
 # Integer stakes and stakes of one magnitude make desk games with ties and
 # pure saddles; floats cover the rest.
 stake_sets = st.one_of(
@@ -135,3 +152,58 @@ def test_desk_split_matches_support_enumeration(c, swapped):
     if not got.degenerate:  # the optimal joints are unique, so enumeration finds them
         assert np.abs(got.alice_mixed - want.alice_mixed).max() <= 1e-9
         assert np.abs(got.bob_mixed - want.bob_mixed).max() <= 1e-9
+
+
+GRID_N = 16
+GRID = [k * (math.pi / GRID_N) for k in range(GRID_N)]
+
+
+@PROPERTY
+@given(specs)
+def test_grid_oracle_matches_payoff_surface_on_its_grid(spec):
+    h = np.array([[payoff_surface(spec, a, b) for b in GRID] for a in GRID])
+    row_min, col_max = h.min(axis=1), h.max(axis=0)
+    tol = 1e-12 * mass(spec)
+    got = grid_saddle_oracle(spec, GRID_N)
+    assert abs(got.max_min - row_min.max()) <= tol
+    assert abs(got.min_max - col_max.min()) <= tol
+    # ties may pick another grid point, so check the values at the one picked
+    i, j = GRID.index(got.alpha_star), GRID.index(got.beta_star)
+    assert abs(got.value - h[i, j]) <= tol
+    assert row_min[i] >= row_min.max() - tol
+    assert col_max[j] <= col_max.min() + tol
+
+
+@PROPERTY
+@given(specs, angles, angles)
+def test_verify_saddle_matches_payoff_surface_on_its_grid(spec, a0, b0):
+    result = refine_saddle(spec, (a0, b0))
+    best_alice = max(payoff_surface(spec, a, result.beta_star) for a in GRID)
+    worst_bob = min(payoff_surface(spec, result.alpha_star, b) for b in GRID)
+    want = max(0.0, best_alice - result.value, result.value - worst_bob)
+    assert abs(verify_saddle(spec, result, GRID_N) - want) <= 1e-12 * mass(spec)
+
+
+@PROPERTY
+@given(angles, frames)
+def test_probability_map_has_period_pi(alpha, frame):
+    p = probabilities_from_angle(alpha, frame)
+    q = probabilities_from_angle(alpha + math.pi, frame)
+    assert max(abs(x - y) for x, y in zip(p.as_tuple(), q.as_tuple())) <= 1e-12
+
+
+@PROPERTY
+@given(specs, angles, angles, angles, angles)
+def test_global_phase_leaves_expectation_unchanged(spec, alpha, beta, omega_a, omega_b):
+    h = build_payoff_operator(spec)
+    plain = expectation(h, StateVector(alpha), StateVector(beta))
+    phased = expectation(h, StateVector(alpha, omega_a), StateVector(beta, omega_b))
+    assert abs(phased - plain) <= 1e-12 * mass(spec)
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.floats(0.0, math.pi, exclude_max=True), st.one_of(frames, near_segment_frames))
+def test_angles_for_point_recovers_the_angle(alpha, frame):
+    p = probabilities_from_angle(alpha, frame)
+    got = angles_for_point(p.p1, p.p2, frame)
+    assert min(angle_gap(a, alpha) for a in got) <= 1e-7
