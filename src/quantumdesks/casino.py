@@ -14,6 +14,14 @@ An outcome with probability p is drawn as ``uniform < p``.
 Within a round the draw order is frozen: Alice odd, Alice even, Bob odd,
 Bob even (two draws, Alice then Bob, in the correlated-joint variant).
 Changing either the generator or the order is a breaking change.
+
+A round ends in one of 16 outcome cells: the four yes/no outcomes, or
+the pair of compound strategies in the correlated variant.  The state
+advance is a constant increment, so the stream can start at any round
+with one addition; a simulation draws a fixed chunk of rounds at a time,
+counts the cells and keeps nothing else.  Its memory does not grow with
+the number of rounds, and its statistics follow exactly from the 16
+counts.
 """
 
 from __future__ import annotations
@@ -38,6 +46,14 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+#: Rounds drawn at a time.  Any size gives the same results.
+_CHUNK_ROUNDS = 8192
+
+# product-form cell = 8 * Alice odd yes + 4 * Alice even yes + 2 * Bob odd yes
+# + Bob even yes, the bits in the draw order
+_CELL_YES = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(bool)
+_CELL_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.uint8)
+
 
 def rng_advance(state: int) -> int:
     """Next SplitMix64 state."""
@@ -58,26 +74,23 @@ def rng_uniform(state: int) -> tuple[float, int]:
     return (rng_output(state) >> 11) * 2.0 ** -53, state
 
 
-def _mix_vec(states: np.ndarray) -> np.ndarray:
-    z = states.copy()
+def _uniform_block(seed: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of the stream seeded at ``seed``.
+
+    SplitMix64's state advance is a constant increment, so the whole
+    block is generated in one vectorized pass, in place on one array of
+    states; the values equal ``count`` successive rng_uniform calls exactly.
+    """
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(_GAMMA)
+    z += np.uint64(seed & _MASK64)
     z ^= z >> np.uint64(30)
     z *= np.uint64(_MIX1)
     z ^= z >> np.uint64(27)
     z *= np.uint64(_MIX2)
     z ^= z >> np.uint64(31)
-    return z
-
-
-def _uniform_block(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of the stream seeded at ``seed``.
-
-    SplitMix64's state advance is a constant increment, so the whole
-    block is generated in one vectorized pass; the values equal ``count``
-    successive rng_uniform calls exactly.
-    """
-    steps = np.arange(1, count + 1, dtype=np.uint64)
-    states = np.uint64(seed & _MASK64) + np.uint64(_GAMMA) * steps
-    return (_mix_vec(states) >> np.uint64(11)) * 2.0 ** -53
+    z >>= np.uint64(11)
+    return z * 2.0 ** -53
 
 
 @dataclass(frozen=True)
@@ -140,25 +153,40 @@ def simulate(
 ) -> SimReport:
     """Average payoff over ``rounds`` independent rounds of play_round.
 
-    Produces the identical outcome stream to chaining play_round from
-    ``seed``; the draws are just generated in one vectorized block.
+    Plays the identical outcome stream to chaining play_round from
+    ``seed``.  The rounds are drawn a chunk at a time and only their
+    outcome cells are counted, so memory stays flat in ``rounds``; the
+    means and the variance are exact over the rounds' float payoffs until
+    one final rounding each.  Stakes beyond about 1e150 in magnitude
+    overflow the variance and raise OverflowError.
     """
-    totals, odd, even = _simulated_payoffs(spec, alpha, beta, rounds, seed)
-    return _report(totals, odd, even, payoff_surface(spec, alpha, beta),
-                   rounds, seed)
+    odd, even, cells = _product_rounds(spec, alpha, beta, rounds, seed)
+    return _report(_cell_counts(cells), odd, even,
+                   payoff_surface(spec, alpha, beta), rounds, seed)
 
 
-def _simulated_payoffs(spec, alpha, beta, rounds, seed):
+def _product_rounds(spec, alpha, beta, rounds, seed):
+    """(odd, even) payoff of each cell, and the cells of product-form play."""
     if rounds < 1:
         raise ValueError("need at least one round")
     p = probabilities_from_angle(alpha, spec.alice_frame)
     q = probabilities_from_angle(beta, spec.bob_frame)
-    u = _uniform_block(seed, 4 * rounds).reshape(rounds, 4)
-    odd, even = _desk_payoff_arrays(
-        spec.coefficients, u[:, 0] < p.p1, u[:, 1] < p.p2,
-        u[:, 2] < q.p1, u[:, 3] < q.p2,
-    )
-    return odd + even, odd, even
+    yes = np.array([p.p1, p.p2, q.p1, q.p2])
+    odd, even = _desk_payoff_arrays(spec.coefficients, *_CELL_YES.T)
+    return odd, even, _round_cells(seed, rounds, 4, lambda u: (u < yes) @ _CELL_WEIGHTS)
+
+
+def _round_cells(seed, rounds, draws, cell_of):
+    """The outcome cell of every round, one chunk of rounds at a time.
+
+    Round ``start`` begins ``draws * start`` draws into the stream, so a
+    chunk's stream is seeded that many steps ahead of ``seed``.  ``cell_of``
+    maps a chunk's (rounds, draws) uniforms to its cells.
+    """
+    for start in range(0, rounds, _CHUNK_ROUNDS):
+        n = min(_CHUNK_ROUNDS, rounds - start)
+        u = _uniform_block(seed + draws * start * _GAMMA, draws * n)
+        yield cell_of(u.reshape(n, draws))
 
 
 def simulate_joint(
@@ -177,31 +205,56 @@ def simulate_joint(
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    u = _uniform_block(seed, 2 * rounds).reshape(rounds, 2)
-    a_idx = _compound_indices(u[:, 0], alice)
-    b_idx = _compound_indices(u[:, 1], bob)
-    # compound index -> desk outcomes: odd yes for 1-2/1-4, even yes for 1-2/3-2
-    odd, even = _desk_payoff_arrays(
-        spec.coefficients, a_idx <= 1, (a_idx % 2) == 0,
-        b_idx <= 1, (b_idx % 2) == 0,
-    )
+    # cell 4 * Alice's compound index + Bob's; odd yes for 1-2/1-4, even yes for 1-2/3-2
+    a, b = np.divmod(np.arange(16), 4)
+    odd, even = _desk_payoff_arrays(spec.coefficients, a <= 1, a % 2 == 0,
+                                    b <= 1, b % 2 == 0)
+
+    def cell_of(u):
+        return 4 * _compound_indices(u[:, 0], alice) + _compound_indices(u[:, 1], bob)
+
     analytic = bilinear_payoff(classical_matrix(spec.coefficients), alice, bob)
-    return _report(odd + even, odd, even, analytic, rounds, seed)
+    return _report(_cell_counts(_round_cells(seed, rounds, 2, cell_of)), odd, even,
+                   analytic, rounds, seed)
 
 
 def _compound_indices(uniforms: np.ndarray, joint: JointDistribution) -> np.ndarray:
-    """Inverse-CDF draw over the fixed compound-strategy order."""
-    edges = np.cumsum(joint.as_vector())[:3]
-    return np.searchsorted(edges, uniforms, side="right")
+    """Inverse-CDF draw over the fixed compound-strategy order: the number
+    of cumulative-probability edges at or below each uniform."""
+    return sum(uniforms >= edge for edge in np.cumsum(joint.as_vector())[:3].tolist())
 
 
-def _report(totals, odd, even, analytic, rounds, seed):
-    spread = float(np.std(totals, ddof=1)) if rounds > 1 else 0.0
+def _cell_counts(cells) -> list[int]:
+    """How many rounds ended in each of the 16 cells."""
+    counts = np.zeros(16, dtype=np.int64)
+    for chunk in cells:
+        counts += np.bincount(chunk, minlength=16)
+    return counts.tolist()
+
+
+def _report(counts, odd, even, analytic, rounds, seed):
+    """The report of a run from its cell counts and cell payoffs.
+
+    Sums run over exact rationals and each statistic is rounded to float
+    once, so the report does not depend on the chunk size or on any
+    summation order.
+    """
+    from fractions import Fraction  # here, so commands that never simulate skip its import
+
+    played = [(n, Fraction(o), Fraction(e), Fraction(t))
+              for n, o, e, t in zip(counts, odd.tolist(), even.tolist(),
+                                    (odd + even).tolist()) if n]
+    total = sum(n * t for n, _, _, t in played)
+    var = 0.0
+    if rounds > 1:
+        squares = sum(n * t * t for n, _, _, t in played)
+        var = float((squares - total * total / rounds) / (rounds - 1))
     return SimReport(
         rounds=rounds,
-        empirical_mean=float(np.mean(totals)),
-        std_error=spread / math.sqrt(rounds),
+        empirical_mean=float(total / rounds),
+        std_error=math.sqrt(var) / math.sqrt(rounds),
         analytic_mean=analytic,
-        per_desk_means=(float(np.mean(odd)), float(np.mean(even))),
+        per_desk_means=(float(sum(n * o for n, o, _, _ in played) / rounds),
+                        float(sum(n * e for n, _, e, _ in played) / rounds)),
         seed=seed,
     )

@@ -4,7 +4,8 @@ Exit codes are frozen for scripting:
 
     0  success
     2  usage error or malformed spec file
-    3  non-finite numeric value in the spec, or an integer beyond the float range
+    3  non-finite numeric value in the spec, an integer beyond the float
+       range, or a stake beyond 1e150 in magnitude
     4  output I/O failure
     5  no saddle: the one-sided values differ (report is still printed)
 
@@ -31,7 +32,7 @@ import sys
 import numpy as np
 
 from . import serialize
-from .casino import simulate
+from .casino import _product_rounds, simulate
 from .classical import COMPOUND_STRATEGIES, classical_matrix, swapped_labels
 from .equilibrium import (
     FLAG_NO_CONVERGENCE,
@@ -64,7 +65,13 @@ class SpecFileError(Exception):
 
 
 class NonFiniteSpecError(Exception):
-    """The spec file parses but contains a non-finite number."""
+    """The spec file parses but holds a number out of range: one that is not
+    finite, or a stake beyond STAKE_LIMIT in magnitude."""
+
+
+#: Largest stake magnitude a spec may hold.  Sums and squares of stakes,
+#: as in the compound matrix and the simulated variance, then stay finite.
+STAKE_LIMIT = 1e150
 
 
 def _spec_number(doc: dict, key: str, where: str) -> float:
@@ -79,6 +86,14 @@ def _spec_number(doc: dict, key: str, where: str) -> float:
         val = math.inf
     if not math.isfinite(val):
         raise NonFiniteSpecError(f"field {key!r} in {where} is not finite")
+    return val
+
+
+def _spec_stake(doc: dict, key: str) -> float:
+    val = _spec_number(doc, key, "spec")
+    if abs(val) > STAKE_LIMIT:
+        raise NonFiniteSpecError(f"field {key!r} in spec is beyond "
+                                 f"{STAKE_LIMIT:g} in magnitude")
     return val
 
 
@@ -102,12 +117,7 @@ def load_game_spec(path: str) -> GameSpec:
         raise SpecFileError("field 'degrees' in spec must be true or false")
     to_radians = math.pi / 180.0 if degrees else 1.0
 
-    coeffs = PayoffCoefficients(
-        c1=_spec_number(doc, "c1", "spec"),
-        c2=_spec_number(doc, "c2", "spec"),
-        c3=_spec_number(doc, "c3", "spec"),
-        c4=_spec_number(doc, "c4", "spec"),
-    )
+    coeffs = PayoffCoefficients(*(_spec_stake(doc, key) for key in ("c1", "c2", "c3", "c4")))
 
     def frame(section: str, tilt_key: str, phase_key: str) -> ObservableFrame:
         sub = doc.get(section)
@@ -234,21 +244,36 @@ def cmd_simulate(args) -> int:
     report = simulate(spec, args.alpha, args.beta, args.rounds, args.seed)
     print(serialize.dumps(report.to_dict()))
     if args.csv is not None:
-        from .casino import _simulated_payoffs
-
-        totals, _, _ = _simulated_payoffs(spec, args.alpha, args.beta,
-                                          args.rounds, args.seed)
-        running = np.cumsum(totals) / np.arange(1, args.rounds + 1)
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                fh.write("round,payoff,running_mean\n")
-                for k in range(args.rounds):
-                    fh.write(f"{k + 1},{serialize.format_float(float(totals[k]))},"
-                             f"{serialize.format_float(float(running[k]))}\n")
+                _write_rounds(fh, spec, args)
         except OSError as exc:
             print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
             return EXIT_IO
     return EXIT_OK
+
+
+def _write_rounds(fh, spec, args) -> None:
+    """Stream ``round,payoff,running_mean`` rows one chunk of rounds at a time.
+
+    The running sum carries across chunks by leading each chunk's cumsum
+    with the previous total, so it equals one cumsum over all rounds.
+    """
+    odd, even, cells = _product_rounds(spec, args.alpha, args.beta,
+                                       args.rounds, args.seed)
+    payoffs = odd + even
+    labels = [serialize.format_float(v) for v in payoffs.tolist()]
+    fh.write("round,payoff,running_mean\n")
+    done, running = 0, None
+    for chunk in cells:
+        pay = payoffs[chunk]
+        head = pay if running is None else np.concatenate(([running[-1]], pay))
+        running = np.cumsum(head)[-len(pay):]
+        means = running / np.arange(done + 1, done + len(pay) + 1)
+        fh.write("".join(
+            f"{done + k + 1},{labels[cell]},{serialize.format_float(mean)}\n"
+            for k, (cell, mean) in enumerate(zip(chunk.tolist(), means.tolist()))))
+        done += len(pay)
 
 
 def build_parser() -> argparse.ArgumentParser:

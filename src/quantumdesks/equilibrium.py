@@ -373,8 +373,11 @@ def _solve_by_support_enumeration(m: ClassicalMatrix, tol: float = 1e-9) -> Clas
 
     Pairs run in a fixed (size, lexicographic) order; for each pair the
     payoff-equalization system is solved as a small linear system and the
-    candidate is kept only if it passes the optimality inequalities.  The
-    first verified pair is returned; the solution is flagged degenerate
+    candidate is kept only if it passes the optimality inequalities.  Of
+    the verified pairs, the one with the smallest duality gap
+    ``max(M y) - min(x M)`` is returned, the first in that order on ties,
+    so a pair that verifies only within the tolerance gives way to an
+    exact one.  The solution is flagged degenerate
     when verified pairs realize more than one distinct support (the same
     strategies re-verifying under padded supersets do not count).
     """
@@ -382,7 +385,8 @@ def _solve_by_support_enumeration(m: ClassicalMatrix, tol: float = 1e-9) -> Clas
     check_tol = tol * (1.0 + float(np.max(np.abs(M))))
     supports = [s for k in range(1, 5) for s in combinations(range(4), k)]
 
-    first: tuple[np.ndarray, np.ndarray, float] | None = None
+    best: tuple[np.ndarray, np.ndarray, float] | None = None
+    best_gap = math.inf
     realized: set[tuple] = set()
     for rows in supports:
         for cols in supports:
@@ -391,11 +395,12 @@ def _solve_by_support_enumeration(m: ClassicalMatrix, tol: float = 1e-9) -> Clas
                 continue
             x, y, _ = cand
             realized.add((tuple(x > 1e-8), tuple(y > 1e-8)))
-            if first is None:
-                first = cand
-    if first is None:  # cannot happen: some square support is a game kernel
+            gap = float(np.max(M @ y) - np.min(x @ M))
+            if best is None or gap < best_gap:
+                best, best_gap = cand, gap
+    if best is None:  # cannot happen: some square support is a game kernel
         raise ArithmeticError("no support pair solved the matrix game")
-    x, y, value = first
+    x, y, value = best
     return ClassicalSolution(x, y, value, degenerate=len(realized) > 1)
 
 

@@ -40,14 +40,19 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _within_atol(x: np.ndarray, y: np.ndarray) -> bool:
-    """Whether every entry of ``x`` is within ATOL of ``y``; NaN never is."""
-    return float(np.abs(x - y).max()) <= ATOL
+def _within_atol(x: np.ndarray, y: np.ndarray, scale: float = 1.0) -> bool:
+    """Whether every entry of ``x`` is within ATOL * scale of ``y``; NaN never is."""
+    return float(np.abs(x - y).max()) <= ATOL * scale
 
 
-def _real_part(value: complex, what: str) -> float:
-    """Strip an imaginary residue below ATOL; a larger one is a bug upstream."""
-    if abs(value.imag) > ATOL:
+def _entry_scale(m: np.ndarray) -> float:
+    """1 + the largest entry magnitude: rounding residues of ``m`` grow with it."""
+    return 1.0 + float(np.abs(m).max())
+
+
+def _real_part(value: complex, what: str, scale: float = 1.0) -> float:
+    """Strip an imaginary residue below ATOL * scale; a larger one is a bug upstream."""
+    if abs(value.imag) > ATOL * scale:
         raise ValueError(f"{what} has imaginary part {value.imag:g}; "
                          "operator is not Hermitian")
     return float(value.real)
@@ -148,7 +153,7 @@ class PayoffOperator:
         m = np.array(self.entries, dtype=complex)
         if m.shape != (4, 4):
             raise ValueError("payoff operator must be 4x4")
-        if not _within_atol(m, m.conj().T):
+        if not _within_atol(m, m.conj().T, _entry_scale(m)):
             raise ValueError("payoff operator must be Hermitian")
         object.__setattr__(self, "entries", _frozen(m))
 
@@ -241,7 +246,8 @@ def build_payoff_operator(spec: GameSpec) -> PayoffOperator:
 def expectation(h: PayoffOperator, alice: StateVector, bob: StateVector) -> float:
     """Expectation of ``h`` in the product state alice (x) bob."""
     v = np.kron(alice.amplitudes, bob.amplitudes)
-    return _real_part(complex(v.conj() @ h.entries @ v), "payoff expectation")
+    return _real_part(complex(v.conj() @ h.entries @ v), "payoff expectation",
+                      _entry_scale(h.entries))
 
 
 def scalar_payoff(

@@ -1,9 +1,10 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from quantumdesks import GameSpec, ObservableFrame, PayoffCoefficients
+from quantumdesks import GameSpec, ObservableFrame, PayoffCoefficients, play_round
 
 
 def make_spec(c1=1.0, c2=1.0, c3=1.0, c4=1.0,
@@ -22,6 +23,29 @@ def random_spec(rng: np.random.Generator, c_scale: float = 2.0) -> GameSpec:
                      lam=rng.uniform(0.0, 2.0 * math.pi),
                      tau=rng.uniform(0.0, math.pi),
                      mu=rng.uniform(0.0, 2.0 * math.pi))
+
+
+def chained_rounds(spec, alpha, beta, rounds, seed) -> list[tuple[float, float, float]]:
+    """Per-round (total, odd, even) payoffs of play_round chained from ``seed``."""
+    state, rows = seed, []
+    for _ in range(rounds):
+        total, (odd, even), state = play_round(spec, alpha, beta, state)
+        rows.append((total, odd, even))
+    return rows
+
+
+def exact_statistics(rows) -> tuple[float, float, tuple[float, float]]:
+    """(mean, standard error, (odd mean, even mean)) of per-round
+    (total, odd, even) payoffs, each exact over the floats until one final
+    rounding; the standard error is sqrt(sample variance / rounds)."""
+    n = len(rows)
+    total, odd, even = (sum(Fraction(v) for v in column) for column in zip(*rows))
+    var = 0.0
+    if n > 1:
+        var = float((sum(Fraction(t) ** 2 for t, _, _ in rows) - total * total / n)
+                    / (n - 1))
+    return (float(total / n), math.sqrt(var) / math.sqrt(n),
+            (float(odd / n), float(even / n)))
 
 
 @pytest.fixture

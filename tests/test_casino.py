@@ -1,4 +1,6 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import pytest
 from quantumdesks import (
     JointDistribution,
     ProbabilityQuadruple,
+    desk_payoff,
     independent_joint,
     marginals,
     payoff_surface,
@@ -14,10 +17,38 @@ from quantumdesks import (
     simulate,
     simulate_joint,
 )
-from quantumdesks.casino import _simulated_payoffs, _uniform_block
-from conftest import make_spec
+from quantumdesks import casino
+from quantumdesks.casino import SimReport, _product_rounds, _uniform_block
+from conftest import chained_rounds, exact_statistics, make_spec
 
 MASK64 = (1 << 64) - 1
+
+
+def simulated_payoffs(spec, alpha, beta, rounds, seed) -> np.ndarray:
+    """Per-round payoffs of ``simulate``, from its chunks of outcome cells."""
+    odd, even, cells = _product_rounds(spec, alpha, beta, rounds, seed)
+    return np.concatenate([(odd + even)[chunk] for chunk in cells])
+
+
+def joint_rounds(spec, alice, bob, rounds, seed) -> list[tuple[float, float, float]]:
+    """Per-round payoffs of correlated play, drawn one uniform at a time."""
+    def compound(u, joint):  # inverse CDF over 1-2, 1-4, 3-2, 3-4
+        edges = list(itertools.accumulate(joint.as_vector()))[:3]
+        i = sum(u >= edge for edge in edges)
+        return (1 if i <= 1 else 3), (2 if i % 2 == 0 else 4)
+
+    state, rows = seed, []
+    for _ in range(rounds):
+        u_alice, state = rng_uniform(state)
+        u_bob, state = rng_uniform(state)
+        (a_odd, a_even), (b_odd, b_even) = compound(u_alice, alice), compound(u_bob, bob)
+        odd, even = desk_payoff(a_odd, a_even, b_odd, b_even, spec.coefficients)
+        rows.append((odd + even, odd, even))
+    return rows
+
+
+def report_statistics(report: SimReport) -> tuple[float, float, tuple[float, float]]:
+    return report.empirical_mean, report.std_error, report.per_desk_means
 
 
 def reference_uniforms(seed: int, count: int) -> list[float]:
@@ -123,8 +154,7 @@ class TestSimulate:
         for _ in range(500):
             pay, _, state = play_round(spec, 0.9, 0.4, state)
             seq.append(pay)
-        totals, _, _ = _simulated_payoffs(spec, 0.9, 0.4, 500, 42)
-        np.testing.assert_array_equal(np.array(seq), totals)
+        np.testing.assert_array_equal(np.array(seq), simulated_payoffs(spec, 0.9, 0.4, 500, 42))
 
     def test_deterministic_case_is_exact(self):
         spec = make_spec(1, 1, 1, 1)
@@ -156,7 +186,7 @@ class TestSimulate:
 
     def test_std_error_definition(self):
         spec = make_spec(1, 1, 1, 1, theta=0.5, tau=0.5)
-        totals, _, _ = _simulated_payoffs(spec, 0.8, 0.3, 4000, 9)
+        totals = simulated_payoffs(spec, 0.8, 0.3, 4000, 9)
         got = simulate(spec, 0.8, 0.3, 4000, seed=9)
         assert got.std_error == pytest.approx(
             np.std(totals, ddof=1) / math.sqrt(4000), abs=1e-15)
@@ -203,6 +233,57 @@ class TestSimulateJoint:
         j = JointDistribution(0.1, 0.2, 0.3, 0.4)
         assert simulate_joint(spec, j, j, 2000, seed=4) == \
             simulate_joint(spec, j, j, 2000, seed=4)
+
+
+class TestChunks:
+    """Chunk boundaries inside a run change nothing, and memory stays flat."""
+
+    SPEC = make_spec(-1.0, 0.5, 2.0, -1.5, theta=1.2, lam=0.8, tau=0.4, mu=2.0)
+    JOINT_A = JointDistribution(0.1, 0.2, 0.3, 0.4)
+    JOINT_B = JointDistribution(0.5, 0.0, 0.25, 0.25)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("rounds", [1, 2, 20, 23])
+    def test_simulate_is_exact_over_chained_rounds(self, monkeypatch, chunk, rounds):
+        monkeypatch.setattr(casino, "_CHUNK_ROUNDS", chunk)
+        got = simulate(self.SPEC, 0.7, 1.9, rounds, seed=123)
+        assert report_statistics(got) == exact_statistics(
+            chained_rounds(self.SPEC, 0.7, 1.9, rounds, 123))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("rounds", [1, 2, 20, 23])
+    def test_simulate_joint_is_exact_over_drawn_rounds(self, monkeypatch, chunk, rounds):
+        monkeypatch.setattr(casino, "_CHUNK_ROUNDS", chunk)
+        got = simulate_joint(self.SPEC, self.JOINT_A, self.JOINT_B, rounds, seed=77)
+        assert report_statistics(got) == exact_statistics(
+            joint_rounds(self.SPEC, self.JOINT_A, self.JOINT_B, rounds, 77))
+
+    def test_statistics_do_not_depend_on_chunk_size(self, monkeypatch):
+        want = simulate(self.SPEC, 0.3, 0.9, 3000, seed=5)
+        for chunk in (1, 7, 1000, 4096):
+            monkeypatch.setattr(casino, "_CHUNK_ROUNDS", chunk)
+            assert simulate(self.SPEC, 0.3, 0.9, 3000, seed=5) == want
+
+    @pytest.mark.parametrize("run", ["simulate", "simulate_joint"])
+    def test_peak_memory_is_flat_in_rounds(self, run):
+        def peak(rounds: int) -> int:
+            tracemalloc.start()
+            try:
+                if run == "simulate":
+                    simulate(self.SPEC, 0.3, 0.9, rounds, seed=1)
+                else:
+                    simulate_joint(self.SPEC, self.JOINT_A, self.JOINT_B, rounds, seed=1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        chunk = casino._CHUNK_ROUNDS
+        peak(chunk)  # warm up caches that a first call fills
+        small, large = peak(20 * chunk), peak(200 * chunk)
+        # one chunk's four uniforms take 32 B a round; a whole run would take
+        # 200 times that and more
+        assert max(small, large) <= 8 * 32 * chunk
+        assert abs(large - small) <= 0.05 * small
 
 
 class TestReportSerialization:

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from quantumdesks import serialize
+from quantumdesks import casino, serialize
 from quantumdesks.cli import main
+from conftest import chained_rounds, make_spec
 
 DECOUPLED = {"c1": 1.0, "c2": 1.0, "c3": 1.0, "c4": 1.0,
              "alice": {"theta": 0.0, "lambda": 0.0},
@@ -40,6 +41,14 @@ class TestEval:
         assert doc["operator_cross_check_residual"] < 1e-10
         assert doc["payoff"] == pytest.approx(doc["desk_payoffs"]["odd"]
                                               + doc["desk_payoffs"]["even"])
+
+    @pytest.mark.parametrize("scale", [1e6, 1e12])
+    def test_cross_check_at_large_stakes(self, capsys, spec_file, scale):
+        doc = {**GENERIC, **{c: scale * GENERIC[c] for c in ("c1", "c2", "c3", "c4")}}
+        code, out = run_json(capsys, ["eval", spec_file(doc), "--alpha", "0.3",
+                                      "--beta", "0.9"])
+        assert code == 0
+        assert out["operator_cross_check_residual"] <= 1e-12 * (1.0 + 10.0 * scale)
 
     def test_missing_file_exits_2(self, capsys, tmp_path):
         assert main(["eval", str(tmp_path / "nope.json"),
@@ -114,6 +123,34 @@ class TestHostileSpec:
     def test_non_boolean_degrees_exits_2(self, capsys, tmp_path):
         text = '{"c1": 1.0, ' + self.STAKES + ', "degrees": "no"}'
         assert self.run_eval(capsys, tmp_path, text) == 2
+
+    @pytest.mark.parametrize("stake", ["1e151", "-1e151"])
+    def test_stake_beyond_range_exits_3(self, capsys, tmp_path, stake):
+        text = '{"c1": ' + stake + ", " + self.STAKES + "}"
+        assert self.run_eval(capsys, tmp_path, text) == 3
+
+    @pytest.mark.parametrize("stake", [1e150, -1e150])
+    def test_every_command_runs_at_the_stake_limit(self, capsys, tmp_path, stake):
+        # a RuntimeWarning raised in quantumdesks is a test error (pyproject.toml)
+        spec = tmp_path / "edge.json"
+        spec.write_text(json.dumps({"c1": stake, "c2": stake, "c3": -stake, "c4": stake,
+                                    "alice": {"theta": 0.7, "lambda": 0.5},
+                                    "bob": {"tau": 0.5, "mu": 1.2}}))
+        out = str(tmp_path / "out.csv")
+        for argv in (["eval", "--alpha", "0.3", "--beta", "0.9"],
+                     ["curve", "--player", "bob", "--out", out],
+                     ["equilibrium"],
+                     ["classical", "--csv", out],
+                     ["classical", "--swapped-labels"],
+                     ["simulate", "--alpha", "0.3", "--beta", "0.9", "--rounds", "100",
+                      "--csv", out]):
+            code = main([argv[0], str(spec), *argv[1:]])
+            captured = capsys.readouterr()
+            # equilibrium may flag no_saddle: its threshold does not scale with the stakes
+            assert code in ((0, 5) if argv[0] == "equilibrium" else (0,))
+            assert captured.err == ""
+            if argv[0] != "curve":
+                assert json.loads(captured.out)
 
 
 class TestCurve:
@@ -283,6 +320,22 @@ class TestSimulate:
         running = [float(line.split(",")[2]) for line in lines[1:]]
         assert running[-1] == pytest.approx(doc["empirical_mean"], abs=1e-12)
         assert running[0] == payoffs[0]
+
+    def test_csv_streamed_over_chunks_matches_chained_rounds(self, capsys, tmp_path,
+                                                            spec_file, monkeypatch):
+        monkeypatch.setattr(casino, "_CHUNK_ROUNDS", 8)
+        rounds, out = 20, tmp_path / "rounds.csv"  # two and a half chunks
+        assert main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
+                     "--rounds", str(rounds), "--seed", "11", "--csv", str(out)]) == 0
+        spec = make_spec(*(GENERIC[c] for c in ("c1", "c2", "c3", "c4")),
+                         GENERIC["alice"]["theta"], GENERIC["alice"]["lambda"],
+                         GENERIC["bob"]["tau"], GENERIC["bob"]["mu"])
+        payoffs = [total for total, _, _ in chained_rounds(spec, 0.3, 0.9, rounds, 11)]
+        running = np.cumsum(payoffs) / np.arange(1, rounds + 1)
+        f = serialize.format_float
+        want = "round,payoff,running_mean\n" + "".join(
+            f"{k + 1},{f(p)},{f(float(m))}\n" for k, (p, m) in enumerate(zip(payoffs, running)))
+        assert out.read_text(encoding="utf-8") == want
 
     def test_json_round_trip_is_byte_identical(self, capsys, spec_file):
         main(["simulate", spec_file(GENERIC), "--alpha", "0.3",

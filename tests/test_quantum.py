@@ -243,6 +243,25 @@ class TestValidation:
         with pytest.raises(ValueError):
             PayoffOperator(m)
 
+    @pytest.mark.parametrize("scale", [1e6, 1e12])
+    def test_payoff_operator_rejects_non_hermitian_at_large_stakes(self, scale):
+        m = scale * np.eye(4)
+        m[0, 1] = 1e-6 * scale
+        with pytest.raises(ValueError):
+            PayoffOperator(m)
+
+    @pytest.mark.parametrize("scale", [1e6, 1e12])
+    def test_expectation_at_large_stakes(self, rng, scale):
+        # rounding residues, the imaginary one included, grow with the stakes
+        for _ in range(50):
+            spec = random_spec(rng, c_scale=2.0 * scale)
+            alpha, beta = rng.uniform(0.0, math.pi, 2)
+            p = probabilities_from_angle(alpha, spec.alice_frame)
+            q = probabilities_from_angle(beta, spec.bob_frame)
+            got = expectation(build_payoff_operator(spec), StateVector(alpha), StateVector(beta))
+            mass = 1.0 + sum(abs(c) for c in spec.coefficients.as_tuple())
+            assert abs(got - scalar_payoff(spec.coefficients, p, q).total) <= 1e-12 * mass
+
     def test_quadruple_rejects_bad_sums(self):
         with pytest.raises(ValueError):
             ProbabilityQuadruple(0.5, 0.5, 0.4, 0.5)
