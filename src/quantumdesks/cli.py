@@ -7,7 +7,8 @@ Exit codes are frozen for scripting:
     3  non-finite numeric value in the spec, an integer beyond the float
        range, or a stake beyond 1e150 in magnitude
     4  output I/O failure
-    5  no saddle: the one-sided values differ (report is still printed)
+    5  no saddle: the one-sided values differ by more than a threshold
+       that grows with the stakes (report is still printed)
 
 Game specs are single JSON documents:
 
@@ -36,7 +37,6 @@ from .casino import _product_rounds, simulate
 from .classical import COMPOUND_STRATEGIES, classical_matrix, swapped_labels
 from .equilibrium import (
     FLAG_NO_CONVERGENCE,
-    grid_saddle_oracle,
     payoff_surface,
     refine_saddle,
     solve_classical,
@@ -190,8 +190,7 @@ def cmd_equilibrium(args) -> int:
     if args.grid_n < 8:
         print("error: --grid-n must be at least 8", file=sys.stderr)
         return EXIT_USAGE
-    coarse = grid_saddle_oracle(spec, args.grid_n)
-    refined = refine_saddle(spec, (coarse.alpha_star, coarse.beta_star), tol=args.tol)
+    refined = refine_saddle(spec, tol=args.tol)
     grid_certificate = verify_saddle(spec, refined, n=args.grid_n)
     report = refined.to_dict()
     report["certificate"] = max(refined.certificate, grid_certificate)
@@ -302,10 +301,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_eq = sub.add_parser("equilibrium", help="search for the saddle point")
     p_eq.add_argument("spec")
     p_eq.add_argument("--grid-n", type=int, default=256,
-                      help="grid resolution for the oracle and certificate")
+                      help="grid resolution for the certificate")
     p_eq.add_argument("--tol", type=float, default=1e-9,
                       help="saddle tolerance: no_saddle when the one-sided "
-                           "values differ by more than max(10*tol, 1e-8)")
+                           "values differ by more than max(10*tol, 1e-8), tol "
+                           "raised to 1e-12*(1 + sum|c|) at large stakes")
     p_eq.set_defaults(func=cmd_equilibrium)
 
     p_cl = sub.add_parser("classical",

@@ -8,10 +8,12 @@ r0 + r1 cos 2beta + r2 sin 2beta with r = K^T x(alpha), whose minimum is
 r0 - |(r1, r2)|.  Alice's maximin is the maximum of that one-angle
 function; Bob's minimax is the same computation on -K^T.
 
-``refine_saddle`` solves both with one vectorized scan per player and a
-golden-section polish of every local maximum of the scan.  The game has a
-saddle exactly when the two one-sided values meet.  The grid oracle and
-``verify_saddle`` evaluate the same kernel on rows of x at uniform angles.
+``refine_saddle`` solves both exactly: where that function is smooth its
+stationary angles are roots of a degree-8 polynomial in exp(2it), and
+the rest of its candidate maxima have closed forms too.  The game has a
+saddle exactly when the two one-sided values meet.  The grid oracle, the
+tests' reference, and ``verify_saddle``, the CLI's certificate, evaluate
+the same kernel on rows of x at uniform angles.
 The scalar ``payoff_surface`` evaluates the probability map directly and
 is the reference the kernel is tested against.
 
@@ -38,23 +40,15 @@ FLAG_NO_CONVERGENCE = "no_convergence"
 FLAG_NO_SADDLE = "no_saddle"
 FLAG_NOT_STATIONARY = "not_stationary"
 
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
-_GOLDEN_X_TOL = 1e-12
-
-
-def _angle_rows(n: int) -> np.ndarray:
-    """Rows x(t) = (1, cos 2t, sin 2t) at the n angles t = k*pi/n, k = 0..n-1."""
-    t = np.arange(n) * (math.pi / n)
-    return np.stack([np.ones(n), np.cos(2.0 * t), np.sin(2.0 * t)], axis=1)
-
-
-#: points per period in the scan of a one-sided objective
-_SCAN_POINTS = 512
-_SCAN_X = _angle_rows(_SCAN_POINTS)
 #: objective values this close, relative to the kernel's mass, are ties
 _TIE_RTOL = 1e-12
 #: a matrix is a desk sum when it fits one within this, relative to 1 + max|m|
 _DESK_RTOL = 1e-12
+
+
+def _angle_rows(t: np.ndarray) -> np.ndarray:
+    """Rows x(t) = (1, cos 2t, sin 2t), one for each angle in ``t``."""
+    return np.stack([np.ones(len(t)), np.cos(2.0 * t), np.sin(2.0 * t)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -145,7 +139,10 @@ def payoff_gradient(spec: GameSpec, alpha: float, beta: float) -> tuple[float, f
 
     They are x'(alpha)^T K x(beta) and x(alpha)^T K x'(beta) on the kernel.
     """
-    k = payoff_kernel(spec)
+    return _kernel_gradient(payoff_kernel(spec), alpha, beta)
+
+
+def _kernel_gradient(k: np.ndarray, alpha: float, beta: float) -> tuple[float, float]:
     return (float(_dx(alpha) @ k @ _x(beta)),
             float(_x(alpha) @ k @ _dx(beta)))
 
@@ -159,7 +156,8 @@ def grid_saddle_oracle(spec: GameSpec, n: int = 256) -> EquilibriumResult:
     """
     if n < 8:
         raise ValueError("grid resolution must be at least 8")
-    x = _angle_rows(n)
+    step = math.pi / n
+    x = _angle_rows(np.arange(n) * step)
     h = x @ payoff_kernel(spec) @ x.T
     row_min = h.min(axis=1)
     col_max = h.max(axis=0)
@@ -169,91 +167,95 @@ def grid_saddle_oracle(spec: GameSpec, n: int = 256) -> EquilibriumResult:
     min_max = float(col_max[j])
     value = float(h[i, j])
     certificate = max(0.0, min_max - value, value - max_min)
-    step = math.pi / n
     return EquilibriumResult(i * step, j * step, value, max_min, min_max, certificate)
 
 
-def _golden_max(f, lo: float, hi: float, x_tol: float) -> tuple[float, float]:
-    c = hi - _INV_PHI * (hi - lo)
-    d = lo + _INV_PHI * (hi - lo)
-    fc, fd = f(c), f(d)
-    while hi - lo > x_tol:
-        if fc > fd:
-            hi, d, fd = d, c, fc
-            c = hi - _INV_PHI * (hi - lo)
-            fc = f(c)
-        else:
-            lo, c, fc = c, d, fd
-            d = lo + _INV_PHI * (hi - lo)
-            fd = f(d)
-    x = 0.5 * (lo + hi)
-    return x, f(x)
-
-
-def _security_level(k: np.ndarray, seed: float) -> tuple[float, float]:
+def _security_level(k: np.ndarray, seed: float | None) -> tuple[float, float]:
     """The angle t maximizing min_s x(t)^T k x(s), and that maximin value.
 
-    The inner minimum is r0 - |(r1, r2)| with r = k^T x(t).  It is scanned
-    on a uniform grid and every local maximum of the scan is polished by
-    golden section.  Of the polished maxima and the seed itself, the one
-    nearest ``seed`` wins among those tied within rounding.
+    With u = 2t and r = k^T x(t), each r_i is a sinusoid in u and the inner
+    minimum is f(u) = r0 - |(r1, r2)|.  Where f is smooth, f' = 0 implies
+    r0'^2 (r1^2 + r2^2) = (r1 r1' + r2 r2')^2, a trigonometric polynomial of
+    degree 4 in u, so of degree 8 in z = exp(iu).  Its roots, the zeros of
+    r0' (where f' = 2 r0' when that polynomial vanishes identically), the
+    zeros of r1 and r2 (which hold the kinks), u = 0 and the seed are the
+    candidates; each gives a lower bound and one attains the maximum, so
+    no unit-circle filter is needed.  Among candidates tied within rounding
+    with the best, the one nearest ``seed`` wins, then the smallest angle
+    in [0, pi); with no seed, the smallest angle.
     """
-    columns = k.T.tolist()
+    scale = 1.0 + float(np.abs(k).sum())
+    scaled = k / scale  # so the quartic stays finite at any stake
+    # r_i = a + b cos u + c sin u is (b + ic)/2 z^-1 + a + (b - ic)/2 z, with
+    # (a, b, c) column i of k, and d/du multiplies z^n by i n.
+    half = 0.5 * (scaled[1] + 1j * scaled[2])
+    r = np.stack([half, scaled[0], half.conj()], axis=1)
+    dr = r * np.array([-1j, 0.0, 1j])
+    square = np.convolve(r[1], r[1]) + np.convolve(r[2], r[2])
+    cross = np.convolve(r[1], dr[1]) + np.convolve(r[2], dr[2])
+    poly = np.convolve(np.convolve(dr[0], dr[0]), square) - np.convolve(cross, cross)
+    # Coefficients under the rounding noise, or subnormal, go: either kind
+    # would overflow the entries of np.roots' companion matrix.
+    poly[np.abs(poly) < max(1e-15 * float(np.abs(poly).max()), 1e-280)] = 0.0
+    u = np.angle(np.roots(poly[::-1])).tolist()  # poly[j] multiplies z^(j - 4)
 
-    def level(t: float) -> float:  # scalar, for the polish
-        c2, s2 = math.cos(2.0 * t), math.sin(2.0 * t)
-        r0, r1, r2 = (k0 + c2 * k1 + s2 * k2 for k0, k1, k2 in columns)
-        return r0 - math.hypot(r1, r2)
+    (_, b0, c0), *kinked = scaled.T.tolist()
+    phase = math.atan2(c0, b0)
+    u += [0.0, phase, phase + math.pi]  # r0' = 0 at the last two
+    for a, b, c in kinked:  # r_i = a + |(b, c)| cos(u - phase) = 0
+        size = math.hypot(b, c)
+        if 0.0 < size and abs(a) <= size:
+            phase, spread = math.atan2(c, b), math.acos(-a / size)
+            u += [phase - spread, phase + spread]
+    t = [reduce_angle(0.5 * v) for v in u]
+    if seed is not None:
+        t.append(seed)
 
-    r = _SCAN_X @ k
-    f = r[:, 0] - np.hypot(r[:, 1], r[:, 2])
-    # Strict on the left, so a scan that is exactly flat has no peaks.
-    peaks = np.flatnonzero((f > np.roll(f, 1)) & (f >= np.roll(f, -1)))
-    step = math.pi / _SCAN_POINTS
-    found = [_golden_max(level, t - step, t + step, _GOLDEN_X_TOL)
-             for t in peaks * step]
-    found.append((seed, level(seed)))
-    best = max(v for _, v in found)
-    tie = best - _TIE_RTOL * (1.0 + float(np.abs(k).sum()))
-    t, v = min((tv for tv in found if tv[1] >= tie),
-               key=lambda tv: angle_gap(tv[0], seed))
-    return reduce_angle(float(t)), float(v)
+    rk = _angle_rows(np.array(t)) @ k
+    f = (rk[:, 0] - np.hypot(rk[:, 1], rk[:, 2])).tolist()
+    tie = max(f) - _TIE_RTOL * scale
+    return min((tv for tv in zip(t, f) if tv[1] >= tie),
+               key=lambda tv: (0.0 if seed is None else angle_gap(tv[0], seed), tv[0]))
 
 
 def refine_saddle(
     spec: GameSpec,
-    seed: tuple[float, float],
+    seed: tuple[float, float] | None = None,
     tol: float = 1e-9,
 ) -> EquilibriumResult:
-    """Solve the angle game on the payoff kernel; ``seed`` breaks ties.
+    """Solve the angle game on the payoff kernel exactly.
 
     ``alpha_star`` attains Alice's maximin and ``beta_star`` Bob's
-    minimax, each found by a scan and a golden-section polish of every
-    local maximum (see the module docstring).  Among optima tied within
-    rounding, each angle is the one nearest its seed, so a seed that is
-    already a saddle comes back unchanged.  ``value`` is h(alpha_star,
-    beta_star).  When the one-sided values differ by more than
-    max(10*tol, 1e-8) the game has no saddle, and the result carries the
-    no-saddle and no-convergence flags together.  Otherwise the analytic
-    gradient at the profile is checked for stationarity.
+    minimax, each the best of a finite set of closed-form candidates (see
+    ``_security_level``).  Among optima tied within 1e-12 * (1 + sum|K|),
+    each angle is the smallest in [0, pi), or, given a ``seed``, the one
+    nearest its seed angle, so a seed that is already a saddle comes back
+    unchanged.  ``value`` is h(alpha_star, beta_star).  With
+    band = max(tol, 1e-12 * (1 + mass)) and mass the sum of the stakes'
+    magnitudes, the game has no saddle when the one-sided values differ by
+    more than max(10*band, 1e-8); the result then carries the no-saddle
+    and no-convergence flags together.  Otherwise the analytic gradient at
+    the profile is checked for stationarity.
     """
     k = payoff_kernel(spec)
-    a, max_min = _security_level(k, reduce_angle(seed[0]))
-    b, neg_min_max = _security_level(-k.T, reduce_angle(seed[1]))
+    seed_a, seed_b = (None, None) if seed is None else map(reduce_angle, seed)
+    a, max_min = _security_level(k, seed_a)
+    b, neg_min_max = _security_level(-k.T, seed_b)
     min_max = -neg_min_max
     value = float(_x(a) @ k @ _x(b))
 
+    mass = sum(abs(x) for x in spec.coefficients.as_tuple())
+    band = max(tol, _TIE_RTOL * (1.0 + mass))
     flags: list[str] = []
-    if min_max - max_min > max(10.0 * tol, 1e-8):
+    if min_max - max_min > max(10.0 * band, 1e-8):
         flags += [FLAG_NO_CONVERGENCE, FLAG_NO_SADDLE]
     else:
-        grad = payoff_gradient(spec, a, b)
+        grad = _kernel_gradient(k, a, b)
         # With no gap, each angle is a best response to the other.  Being
-        # within tol of the peak of a sinusoid of amplitude R leaves an angle
-        # within sqrt(tol / 2R) of it, hence a gradient of at most
-        # sqrt(8 R tol); R is bounded by the coefficient mass.
-        mass = sum(abs(x) for x in spec.coefficients.as_tuple())
-        grad_tol = math.sqrt(8.0 * tol * (mass + 1.0)) + 100.0 * tol
+        # within band of the peak of a sinusoid of amplitude R leaves an
+        # angle within sqrt(band / 2R) of it, hence a gradient of at most
+        # sqrt(8 R band); R is bounded by the coefficient mass.
+        grad_tol = math.sqrt(8.0 * band * (mass + 1.0)) + 100.0 * band
         if max(abs(grad[0]), abs(grad[1])) > grad_tol:
             flags.append(FLAG_NOT_STATIONARY)
 
@@ -271,7 +273,7 @@ def verify_saddle(spec: GameSpec, result: EquilibriumResult, n: int = 256) -> fl
     grid angle.
     """
     k = payoff_kernel(spec)
-    x = _angle_rows(n)
+    x = _angle_rows(np.arange(n) * (math.pi / n))
     best_dev_alice = float((x @ (k @ _x(result.beta_star))).max())
     best_dev_bob = float((x @ (k.T @ _x(result.alpha_star))).min())
     return max(0.0, best_dev_alice - result.value, result.value - best_dev_bob)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +24,20 @@ def random_spec(rng: np.random.Generator, c_scale: float = 2.0) -> GameSpec:
                      lam=rng.uniform(0.0, 2.0 * math.pi),
                      tau=rng.uniform(0.0, math.pi),
                      mu=rng.uniform(0.0, 2.0 * math.pi))
+
+
+def scale_stakes(spec: GameSpec, scale: float) -> GameSpec:
+    """``spec`` with every stake multiplied by ``scale``."""
+    return replace(spec, coefficients=PayoffCoefficients(
+        *(scale * c for c in spec.coefficients.as_tuple())))
+
+
+def dense_security_level(k: np.ndarray, n: int = 200000) -> float:
+    """max over t of min over s of x(t)^T k x(s), scanned at t = j*pi/n; the
+    inner minimum is exact, r0 - |(r1, r2)| with r = k^T x(t)."""
+    t = np.arange(n) * (math.pi / n)
+    r = np.stack([np.ones(n), np.cos(2.0 * t), np.sin(2.0 * t)], axis=1) @ k
+    return float((r[:, 0] - np.hypot(r[:, 1], r[:, 2])).max())
 
 
 def chained_rounds(spec, alpha, beta, rounds, seed) -> list[tuple[float, float, float]]:

@@ -146,8 +146,9 @@ class TestHostileSpec:
                       "--csv", out]):
             code = main([argv[0], str(spec), *argv[1:]])
             captured = capsys.readouterr()
-            # equilibrium may flag no_saddle: its threshold does not scale with the stakes
-            assert code in ((0, 5) if argv[0] == "equilibrium" else (0,))
+            # this game has a saddle at every scale, and the saddle
+            # threshold scales with the stakes
+            assert code == 0
             assert captured.err == ""
             if argv[0] != "curve":
                 assert json.loads(captured.out)

@@ -12,6 +12,7 @@ from quantumdesks import (
     expectation,
     grid_saddle_oracle,
     payoff_gradient,
+    payoff_kernel,
     payoff_surface,
     refine_saddle,
     solve_classical,
@@ -20,9 +21,11 @@ from quantumdesks import (
 from quantumdesks.equilibrium import (
     FLAG_NO_CONVERGENCE,
     FLAG_NO_SADDLE,
+    _TIE_RTOL,
+    _security_level,
     _solve_by_support_enumeration,
 )
-from conftest import make_spec, random_spec
+from conftest import dense_security_level, make_spec, random_spec, scale_stakes
 
 DECOUPLED = make_spec(1, 1, 1, 1)  # theta = tau = 0: two independent desk games
 # Best-response alternation cycles on this game although it has a saddle.
@@ -36,6 +39,14 @@ TWIN_PEAKS = make_spec(1.7896301165694202, 0.16551831410018747,
                        0.23798611027010508, 1.500024361702751,
                        theta=1.4111352554881489, lam=0.9265394891125263,
                        tau=1.6130006259466931, mu=1.8659120344359612)
+# Opposite-sign desks with quarter tilts: the kernel is diag(0, -1/2, 1/2),
+# so every angle secures -1/2 for Alice and 1/2 for Bob, and there is no saddle.
+NO_SADDLE = make_spec(1.0, -1.0, 1.0, -1.0, theta=math.pi / 4, tau=math.pi / 4)
+# Bob's tilt 0 makes h(alpha, beta) = h(alpha, pi - beta); his optima are
+# the mirror pair 0.431 and pi - 0.431 (the golden corpus's random_18).
+MIRROR = make_spec(1.7305171534699038, -1.3655772634161156, 1.9741053862646196,
+                   0.750818181412503, theta=2.4984738003923432, lam=2.8707629336371845,
+                   tau=0.0, mu=4.676683140448009)
 
 
 class TestPayoffSurface:
@@ -129,11 +140,8 @@ class TestRefineSaddle:
             assert got.max_min <= got.value + 1e-9 <= got.min_max + 2e-9
 
     def test_no_saddle_game_is_flagged(self):
-        # opposite-sign desks with quarter tilts: the two one-sided values
-        # split apart and no angle pair is stable
-        spec = make_spec(1.0, -1.0, 1.0, -1.0, theta=math.pi / 4, tau=math.pi / 4)
-        oracle = grid_saddle_oracle(spec, 256)
-        got = refine_saddle(spec, (oracle.alpha_star, oracle.beta_star))
+        oracle = grid_saddle_oracle(NO_SADDLE, 256)
+        got = refine_saddle(NO_SADDLE, (oracle.alpha_star, oracle.beta_star))
         assert FLAG_NO_SADDLE in got.flags
         assert got.max_min == pytest.approx(-0.5, abs=1e-6)
         assert got.min_max == pytest.approx(0.5, abs=1e-6)
@@ -144,6 +152,43 @@ class TestRefineSaddle:
         assert got.alpha_star == pytest.approx(3 * math.pi / 4, abs=1e-9)
         assert got.beta_star == pytest.approx(math.pi / 4, abs=1e-9)
         assert got.flags == ()
+
+    def test_unseeded_equal_optima_take_the_smallest_angle(self):
+        got = refine_saddle(DECOUPLED)
+        assert got.alpha_star == pytest.approx(math.pi / 4, abs=1e-12)
+        assert got.beta_star == pytest.approx(math.pi / 4, abs=1e-12)
+        assert got.value == pytest.approx(1.0, abs=1e-12)
+        assert got.flags == ()
+
+    def test_unseeded_flat_levels_take_angle_zero(self):
+        got = refine_saddle(NO_SADDLE)
+        assert (got.alpha_star, got.beta_star) == (0.0, 0.0)
+        assert got.value == got.max_min == -0.5
+        assert FLAG_NO_SADDLE in got.flags
+
+    def test_unseeded_mirror_pair_takes_the_angle_below_a_quarter_turn(self):
+        got = refine_saddle(MIRROR)
+        assert 0.0 < got.beta_star < math.pi / 2
+        mirrored = refine_saddle(MIRROR, (got.alpha_star, math.pi - got.beta_star))
+        assert mirrored.beta_star == pytest.approx(math.pi - got.beta_star, abs=1e-12)
+        assert mirrored.min_max == pytest.approx(got.min_max, abs=1e-12)
+
+    def test_level_at_a_root_of_high_multiplicity(self):
+        # Bob's tilt 0 makes each r_i of Bob's level a multiple of 1 + cos u,
+        # so the level peaks at u = pi, a root of multiplicity 6 of the
+        # quartic, where only the zeros of r0', r1 and r2 land exactly
+        spec = make_spec(1.0, 2.0, 0.0, 0.0, theta=0.7, lam=0.3, tau=0.0)
+        got = refine_saddle(spec)
+        k = payoff_kernel(spec)
+        tie = _TIE_RTOL * (1.0 + np.abs(k).sum())
+        assert got.max_min >= dense_security_level(k) - tie
+        assert -got.min_max >= dense_security_level(-k.T) - tie
+
+    def test_flags_do_not_depend_on_the_stake_scale(self, rng):
+        for spec in [NO_SADDLE, CYCLING, TWIN_PEAKS, *(random_spec(rng) for _ in range(40))]:
+            want = refine_saddle(spec).flags
+            for scale in (1e6, 1e12, 1e150):
+                assert refine_saddle(scale_stakes(spec, scale)).flags == want
 
     def test_cycling_game_has_a_saddle(self):
         oracle = grid_saddle_oracle(CYCLING, 256)
@@ -173,6 +218,25 @@ class TestRefineSaddle:
             got = refine_saddle(spec, (rng.uniform(0, math.pi), rng.uniform(0, math.pi)))
             assert 0.0 <= got.alpha_star < math.pi
             assert 0.0 <= got.beta_star < math.pi
+
+
+class TestSecurityLevel:
+    def test_peak_where_only_r0_prime_vanishes(self):
+        # r0 = cos(u - 1), r1 = 2 - cos(u - 1), r2 = 0: the quartic vanishes
+        # identically, and f = 2 cos(u - 1) - 2 peaks at u = 1, where r0' = 0
+        c, s = math.cos(1.0), math.sin(1.0)
+        t, v = _security_level(np.array([[0.0, 2.0, 0.0], [c, -c, 0.0], [s, -s, 0.0]]), None)
+        assert t == pytest.approx(0.5, abs=1e-12)
+        assert v == pytest.approx(0.0, abs=1e-12)
+
+    def test_peak_at_a_kink(self):
+        # r0 = 0 and (r1, r2) = (1, 1/2) sin(u - 1): f = -|(r1, r2)| peaks at
+        # the kinks u = 1 and 1 + pi, each a double root of the quartic
+        c, s = math.cos(1.0), math.sin(1.0)
+        t, v = _security_level(np.array([[0.0, 0.0, 0.0], [0.0, -s, -s / 2],
+                                         [0.0, c, c / 2]]), None)
+        assert t == pytest.approx(0.5, abs=1e-12)
+        assert v == pytest.approx(0.0, abs=1e-12)
 
 
 class TestVerifySaddle:

@@ -1,6 +1,8 @@
 """Property tests of the payoff kernel, the saddle solver, the desk split,
-the probability map and its inverse, and the simulation."""
+the probability map and its inverse, the payoff operator, the simulation
+and the JSON reports."""
 
+import json
 import math
 from unittest import mock
 
@@ -22,15 +24,18 @@ from quantumdesks import (
     payoff_surface,
     probabilities_from_angle,
     refine_saddle,
+    scalar_payoff,
     simulate,
     solve_classical,
     swapped_labels,
     verify_saddle,
 )
-from quantumdesks import casino
+from quantumdesks import casino, serialize
 from quantumdesks.quantum import angle_gap
-from quantumdesks.equilibrium import FLAG_NO_SADDLE, _solve_by_support_enumeration
-from conftest import chained_rounds, exact_statistics, make_spec
+from quantumdesks.equilibrium import (FLAG_NO_SADDLE, _TIE_RTOL,
+                                      _solve_by_support_enumeration)
+from conftest import (chained_rounds, dense_security_level, exact_statistics,
+                      make_spec, scale_stakes)
 
 # Derandomized, so every run checks the same examples.
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=100)
@@ -63,6 +68,9 @@ stake_sets = st.one_of(
 )
 angles = st.one_of(st.sampled_from([-1e-20, 0.0, math.pi, 2 * math.pi]),
                    st.floats(-10.0, 10.0))
+# No seed takes the canonical tie rule; a seed takes the nearest optimum.
+seeds = st.one_of(st.none(), st.tuples(angles, angles))
+scales = st.sampled_from([1.0, 1e3, 1e6, 1e9, 1e12])
 
 
 def mass(spec) -> float:
@@ -95,17 +103,17 @@ def test_kernel_matches_payoff_surface(spec, alpha, beta):
 
 
 @PROPERTY
-@given(specs, angles, angles)
-def test_value_lies_between_one_sided_values(spec, a0, b0):
-    got = refine_saddle(spec, (a0, b0))
+@given(specs, seeds)
+def test_value_lies_between_one_sided_values(spec, seed):
+    got = refine_saddle(spec, seed)
     slack = 1e-12 * mass(spec)
     assert got.max_min - slack <= got.value <= got.min_max + slack
 
 
 @PROPERTY
-@given(specs, angles, angles)
-def test_one_sided_values_are_exact(spec, a0, b0):
-    got = refine_saddle(spec, (a0, b0))
+@given(specs, seeds)
+def test_one_sided_values_are_exact(spec, seed):
+    got = refine_saddle(spec, seed)
     worst, best = one_sided(spec, got.alpha_star, got.beta_star)
     assert abs(got.max_min - worst) <= 1e-12 * mass(spec)
     assert abs(got.min_max - best) <= 1e-12 * mass(spec)
@@ -124,11 +132,33 @@ def test_never_flagged_when_the_grid_proves_a_saddle(spec):
 
 
 @PROPERTY
-@given(specs, angles, angles)
-def test_angles_in_half_open_period(spec, a0, b0):
-    got = refine_saddle(spec, (a0, b0))
+@given(specs, seeds)
+def test_angles_in_half_open_period(spec, seed):
+    got = refine_saddle(spec, seed)
     assert 0.0 <= got.alpha_star < math.pi
     assert 0.0 <= got.beta_star < math.pi
+
+
+@PROPERTY
+@given(specs, seeds)
+# subnormal quartic coefficients, which overflowed np.roots' companion matrix
+@example(make_spec(-2.0, 0.0, 0.0, 2.225073858507203e-309, tau=math.pi / 4), None)
+@example(make_spec(1.9388149610858154e100, -1.8009975686587445e-300,
+                   -1.3254068282358434e-20, -1.8480498436622094e-200,
+                   math.pi / 4, math.pi / 2, 1.0548011471902514, 0.5698568931379604), None)
+def test_levels_are_never_below_a_dense_scan(spec, seed):
+    got = refine_saddle(spec, seed)
+    k = payoff_kernel(spec)
+    tie = _TIE_RTOL * (1.0 + np.abs(k).sum())
+    assert got.max_min >= dense_security_level(k) - tie
+    assert -got.min_max >= dense_security_level(-k.T) - tie
+
+
+@PROPERTY
+@given(specs, st.one_of(scales, st.just(1e150)), seeds)
+def test_equilibrium_report_round_trips(spec, scale, seed):
+    s = serialize.dumps(refine_saddle(scale_stakes(spec, scale), seed).to_dict())
+    assert serialize.dumps(json.loads(s)) == s
 
 
 @PROPERTY
@@ -181,9 +211,9 @@ def test_grid_oracle_matches_payoff_surface_on_its_grid(spec):
 
 
 @PROPERTY
-@given(specs, angles, angles)
-def test_verify_saddle_matches_payoff_surface_on_its_grid(spec, a0, b0):
-    result = refine_saddle(spec, (a0, b0))
+@given(specs, seeds)
+def test_verify_saddle_matches_payoff_surface_on_its_grid(spec, seed):
+    result = refine_saddle(spec, seed)
     best_alice = max(payoff_surface(spec, a, result.beta_star) for a in GRID)
     worst_bob = min(payoff_surface(spec, result.alpha_star, b) for b in GRID)
     want = max(0.0, best_alice - result.value, result.value - worst_bob)
@@ -205,6 +235,16 @@ def test_global_phase_leaves_expectation_unchanged(spec, alpha, beta, omega_a, o
     plain = expectation(h, StateVector(alpha), StateVector(beta))
     phased = expectation(h, StateVector(alpha, omega_a), StateVector(beta, omega_b))
     assert abs(phased - plain) <= 1e-12 * mass(spec)
+
+
+@PROPERTY
+@given(specs, scales, angles, angles)
+def test_operator_expectation_equals_scalar_payoff(spec, scale, alpha, beta):
+    spec = scale_stakes(spec, scale)
+    got = expectation(build_payoff_operator(spec), StateVector(alpha), StateVector(beta))
+    want = scalar_payoff(spec.coefficients, probabilities_from_angle(alpha, spec.alice_frame),
+                         probabilities_from_angle(beta, spec.bob_frame)).total
+    assert abs(got - want) <= 1e-12 * mass(spec)
 
 
 @settings(PROPERTY, max_examples=300)
