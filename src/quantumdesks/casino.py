@@ -9,7 +9,13 @@ bit-for-bit across platforms and easy to re-implement:
 where mix is the xor-shift-multiply finalizer (shifts 30/27/31 with
 multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).  A uniform in
 [0, 1) takes the top 53 bits of the output: (output >> 11) * 2**-53.
-An outcome with probability p is drawn as ``uniform < p``.
+An outcome with probability p is drawn as ``uniform < p``.  The
+simulation evaluates that draw on the 53-bit mantissa m = output >> 11
+instead: m * 2**-53 < p holds exactly when m < ceil(p * 2**53), because
+scaling by a power of two is exact and m is an integer.  The limit is
+clamped to [0, 2**53], which keeps a p a rounding step outside [0, 1]
+drawing as never or always.  The integer comparison thus lands every
+round in the same outcome as the float one.
 
 Within a round the draw order is frozen: Alice odd, Alice even, Bob odd,
 Bob even (two draws, Alice then Bob, in the correlated-joint variant).
@@ -18,10 +24,10 @@ Changing either the generator or the order is a breaking change.
 A round ends in one of 16 outcome cells: the four yes/no outcomes, or
 the pair of compound strategies in the correlated variant.  The state
 advance is a constant increment, so the stream can start at any round
-with one addition; a simulation draws a fixed chunk of rounds at a time,
-counts the cells and keeps nothing else.  Its memory does not grow with
-the number of rounds, and its statistics follow exactly from the 16
-counts.
+with one addition; a simulation draws a fixed chunk of rounds at a time
+into buffers it reuses, counts the cells and keeps nothing else.  Its
+memory does not grow with the number of rounds, and its statistics
+follow exactly from the 16 counts.
 """
 
 from __future__ import annotations
@@ -49,11 +55,6 @@ _MIX2 = 0x94D049BB133111EB
 #: Rounds drawn at a time.  Any size gives the same results.
 _CHUNK_ROUNDS = 8192
 
-# product-form cell = 8 * Alice odd yes + 4 * Alice even yes + 2 * Bob odd yes
-# + Bob even yes, the bits in the draw order
-_CELL_YES = ((np.arange(16)[:, None] >> np.arange(3, -1, -1)) & 1).astype(bool)
-_CELL_WEIGHTS = np.array([8, 4, 2, 1], dtype=np.uint8)
-
 
 def rng_advance(state: int) -> int:
     """Next SplitMix64 state."""
@@ -75,22 +76,43 @@ def rng_uniform(state: int) -> tuple[float, int]:
 
 
 def _uniform_block(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of the stream seeded at ``seed``.
+    """The first ``count`` uniforms of the stream seeded at ``seed``; the
+    values equal ``count`` successive rng_uniform calls exactly."""
+    words = np.empty(count, dtype=np.uint64)
+    _mantissas(_stream_offsets(count), seed, words, np.empty_like(words))
+    return words * 2.0 ** -53
 
-    SplitMix64's state advance is a constant increment, so the whole
-    block is generated in one vectorized pass, in place on one array of
-    states; the values equal ``count`` successive rng_uniform calls exactly.
+
+def _stream_offsets(count: int) -> np.ndarray:
+    """Draw k's state minus the seed, k * gamma mod 2**64, for k = 1..count."""
+    offsets = np.arange(1, count + 1, dtype=np.uint64)
+    offsets *= np.uint64(_GAMMA)
+    return offsets
+
+
+def _mantissas(offsets, seed, out, spare) -> np.ndarray:
+    """The 53-bit mantissas ``output >> 11`` of the draws at ``offsets``
+    past ``seed``, written into ``out``.
+
+    SplitMix64's state advance is a constant increment, so the block is
+    one addition to precomputed offsets; the finalizer then runs in place,
+    with ``spare`` (same shape as ``out``) holding the shifted words.
     """
-    z = np.arange(1, count + 1, dtype=np.uint64)
-    z *= np.uint64(_GAMMA)
-    z += np.uint64(seed & _MASK64)
-    z ^= z >> np.uint64(30)
-    z *= np.uint64(_MIX1)
-    z ^= z >> np.uint64(27)
-    z *= np.uint64(_MIX2)
-    z ^= z >> np.uint64(31)
-    z >>= np.uint64(11)
-    return z * 2.0 ** -53
+    np.add(offsets, np.uint64(seed & _MASK64), out=out)
+    for shift, mult in ((30, _MIX1), (27, _MIX2)):
+        np.right_shift(out, np.uint64(shift), out=spare)
+        out ^= spare
+        out *= np.uint64(mult)
+    np.right_shift(out, np.uint64(31), out=spare)
+    out ^= spare
+    out >>= np.uint64(11)
+    return out
+
+
+def _mantissa_limit(p: float) -> int:
+    """The limit L in [0, 2**53] with ``m * 2**-53 < p`` exactly when
+    ``m < L``, for every mantissa m in [0, 2**53)."""
+    return min(max(math.ceil(p * 2.0 ** 53), 0), 1 << 53)
 
 
 @dataclass(frozen=True)
@@ -166,27 +188,58 @@ def simulate(
 
 
 def _product_rounds(spec, alpha, beta, rounds, seed):
-    """(odd, even) payoff of each cell, and the cells of product-form play."""
+    """(odd, even) payoff of each cell, and the cells of product-form play.
+
+    A round's cell is 8 * Alice odd yes + 4 * Alice even yes + 2 * Bob odd
+    yes + Bob even yes, the bits in the draw order.
+    """
     if rounds < 1:
         raise ValueError("need at least one round")
     p = probabilities_from_angle(alpha, spec.alice_frame)
     q = probabilities_from_angle(beta, spec.bob_frame)
-    yes = np.array([p.p1, p.p2, q.p1, q.p2])
-    odd, even = _desk_payoff_arrays(spec.coefficients, *_CELL_YES.T)
-    return odd, even, _round_cells(seed, rounds, 4, lambda u: (u < yes) @ _CELL_WEIGHTS)
+    yes = np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1 == 1
+    odd, even = _desk_payoff_arrays(spec.coefficients, *yes.T)
+    return odd, even, _round_cells(seed, rounds, [[p.p1, p.p2, q.p1, q.p2]],
+                                   _product_cells)
 
 
-def _round_cells(seed, rounds, draws, cell_of):
-    """The outcome cell of every round, one chunk of rounds at a time.
+def _product_cells(mantissas, limits, cells) -> None:
+    """Pack each round's four yes-bits into its cell.
 
-    Round ``start`` begins ``draws * start`` draws into the stream, so a
-    chunk's stream is seeded that many steps ahead of ``seed``.  ``cell_of``
-    maps a chunk's (rounds, draws) uniforms to its cells.
+    ``packbits`` puts two rounds in a byte, the first in the high nibble;
+    when the chunk has an odd number of rounds, the low nibble of the
+    last byte is padding and is not read.
     """
-    for start in range(0, rounds, _CHUNK_ROUNDS):
-        n = min(_CHUNK_ROUNDS, rounds - start)
-        u = _uniform_block(seed + draws * start * _GAMMA, draws * n)
-        yield cell_of(u.reshape(n, draws))
+    packed = np.packbits(np.less(mantissas, limits[0]))
+    np.right_shift(packed, 4, out=cells[0::2])
+    np.bitwise_and(packed[:len(cells) // 2], 15, out=cells[1::2])
+
+
+def _round_cells(seed, rounds, thresholds, cells_of):
+    """The ``uint8`` outcome cell of every round, one chunk of rounds at a time.
+
+    ``thresholds`` holds rows of one probability per draw of a round; each
+    becomes the integer limit of its draws (see the module docstring),
+    tiled over a chunk.  Round ``start`` begins ``draws * start`` draws
+    into the stream, so a chunk's stream is seeded that many steps ahead
+    of ``seed``.  ``cells_of(mantissas, limits, cells)`` fills a chunk's
+    cells.  The stream offsets and every buffer are built once per call and
+    reused, so each yielded array is overwritten by the next.
+    """
+    draws = len(thresholds[0])
+    chunk = min(_CHUNK_ROUNDS, rounds)
+    limits = np.tile(np.array([[_mantissa_limit(p) for p in row] for row in thresholds],
+                              dtype=np.uint64), chunk)
+    offsets = _stream_offsets(draws * chunk)
+    words, spare = np.empty_like(offsets), np.empty_like(offsets)
+    cells = np.empty(chunk, dtype=np.uint8)
+    for start in range(0, rounds, chunk):
+        n = min(chunk, rounds - start)
+        size = draws * n
+        mantissas = _mantissas(offsets[:size], seed + draws * start * _GAMMA,
+                               words[:size], spare[:size])
+        cells_of(mantissas, limits[:, :size], cells[:n])
+        yield cells[:n]
 
 
 def simulate_joint(
@@ -209,19 +262,25 @@ def simulate_joint(
     a, b = np.divmod(np.arange(16), 4)
     odd, even = _desk_payoff_arrays(spec.coefficients, a <= 1, a % 2 == 0,
                                     b <= 1, b % 2 == 0)
-
-    def cell_of(u):
-        return 4 * _compound_indices(u[:, 0], alice) + _compound_indices(u[:, 1], bob)
-
+    # inverse-CDF draw over the fixed compound-strategy order: a compound
+    # index is the number of cumulative-probability edges at or below the
+    # uniform; ``uniform >= edge`` negates ``uniform < edge``, so an edge's
+    # limit serves both
+    edges = list(zip(*(np.cumsum(j.as_vector())[:3].tolist() for j in (alice, bob))))
     analytic = bilinear_payoff(classical_matrix(spec.coefficients), alice, bob)
-    return _report(_cell_counts(_round_cells(seed, rounds, 2, cell_of)), odd, even,
-                   analytic, rounds, seed)
+    return _report(_cell_counts(_round_cells(seed, rounds, edges, _compound_cells)),
+                   odd, even, analytic, rounds, seed)
 
 
-def _compound_indices(uniforms: np.ndarray, joint: JointDistribution) -> np.ndarray:
-    """Inverse-CDF draw over the fixed compound-strategy order: the number
-    of cumulative-probability edges at or below each uniform."""
-    return sum(uniforms >= edge for edge in np.cumsum(joint.as_vector())[:3].tolist())
+def _compound_cells(mantissas, limits, cells) -> None:
+    """4 * Alice's compound index + Bob's, from each round's two draws."""
+    index = np.greater_equal(mantissas, limits[0]).view(np.uint8)
+    for row in limits[1:]:
+        index += mantissas >= row
+    # each round's pair (ia, ib) reads ia + 256 * ib as a little-endian
+    # 16-bit word; times 0x401 its high byte is 4 * ia + ib (mod 2**16)
+    pairs = index.view("<u2") * np.uint16(0x401)
+    np.right_shift(pairs, 8, out=cells, casting="unsafe")
 
 
 def _cell_counts(cells) -> list[int]:

@@ -32,7 +32,7 @@ class JointDistribution:
 
     def __post_init__(self):
         vals = self.as_tuple()
-        if any(v < -1e-12 for v in vals):
+        if not all(v >= -1e-12 for v in vals):  # NaN fails too
             raise ValueError(f"joint probabilities must be nonnegative: {vals}")
         if abs(sum(vals) - 1.0) > 1e-12:
             raise ValueError(f"joint probabilities must sum to 1: {vals}")

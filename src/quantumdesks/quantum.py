@@ -174,7 +174,7 @@ class ProbabilityQuadruple:
 
     def __post_init__(self):
         vals = self.as_tuple()
-        if any(v < -1e-9 or v > 1.0 + 1e-9 for v in vals):
+        if not all(-1e-9 <= v <= 1.0 + 1e-9 for v in vals):  # NaN fails too
             raise ValueError(f"probabilities out of [0, 1]: {vals}")
         if abs(self.p1 + self.p3 - 1.0) > 1e-9 or abs(self.p2 + self.p4 - 1.0) > 1e-9:
             raise ValueError(f"desk pairs must each sum to 1: {vals}")

@@ -18,7 +18,15 @@ from quantumdesks import (
     simulate_joint,
 )
 from quantumdesks import casino
-from quantumdesks.casino import SimReport, _product_rounds, _uniform_block
+from quantumdesks.casino import (
+    SimReport,
+    _compound_cells,
+    _mantissa_limit,
+    _product_cells,
+    _product_rounds,
+    _round_cells,
+    _uniform_block,
+)
 from conftest import chained_rounds, exact_statistics, make_spec
 
 MASK64 = (1 << 64) - 1
@@ -94,6 +102,28 @@ class TestGenerator:
     def test_uniforms_in_unit_interval(self):
         u = _uniform_block(42, 100000)
         assert u.min() >= 0.0 and u.max() < 1.0
+
+
+class TestMantissaLimit:
+    """The integer draw ``m < limit`` agrees with the float ``m * 2**-53 < p``."""
+
+    @pytest.mark.parametrize("p", [-1e-9, 0.0, 5e-324, 2.0 ** -53, 0.5,
+                                   1.0 - 2.0 ** -53, 1.0, 1.0 + 1e-9])
+    def test_agrees_with_the_float_draw_at_the_limit(self, p):
+        limit = _mantissa_limit(p)
+        assert 0 <= limit <= 1 << 53
+        for m in (limit - 1, limit, limit + 1):
+            if 0 <= m < 1 << 53:
+                assert (m * 2.0 ** -53 < p) == (m < limit)
+                assert (m * 2.0 ** -53 >= p) == (m >= limit)
+
+    def test_a_draw_equal_to_its_threshold(self):
+        # ``uniform < p`` is strict: draws equal to their probabilities are
+        # all no (cell 0), and draws equal to all three edges give both
+        # players compound index 3 (cell 15)
+        u = _uniform_block(5, 4).tolist()
+        assert next(_round_cells(5, 1, [u], _product_cells)).tolist() == [0]
+        assert next(_round_cells(5, 1, [u[:2]] * 3, _compound_cells)).tolist() == [15]
 
 
 class TestPlayRound:
@@ -257,6 +287,35 @@ class TestChunks:
         got = simulate_joint(self.SPEC, self.JOINT_A, self.JOINT_B, rounds, seed=77)
         assert report_statistics(got) == exact_statistics(
             joint_rounds(self.SPEC, self.JOINT_A, self.JOINT_B, rounds, 77))
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("rounds", [1, 20, 23])
+    @pytest.mark.parametrize("tilt, alpha, beta", [
+        (0.0, 0.0, math.pi / 2),          # p1 = p2 = 1 against p1 = p2 ~ 4e-33
+        (0.0, math.pi / 2, 0.0),
+        (math.pi / 2, 0.0, math.pi / 2),  # p1 = 1, p2 ~ 4e-33 and the reverse
+    ])
+    def test_degenerate_play_is_exact(self, monkeypatch, chunk, rounds, tilt, alpha, beta):
+        monkeypatch.setattr(casino, "_CHUNK_ROUNDS", chunk)
+        spec = make_spec(-1.0, 0.5, 2.0, -1.5, theta=tilt, tau=tilt)
+        rows = chained_rounds(spec, alpha, beta, rounds, 31)
+        np.testing.assert_array_equal(simulated_payoffs(spec, alpha, beta, rounds, 31),
+                                      [total for total, _, _ in rows])
+        assert report_statistics(simulate(spec, alpha, beta, rounds, 31)) == \
+            exact_statistics(rows)
+
+    @pytest.mark.parametrize("chunk", [1, 3, 7])
+    @pytest.mark.parametrize("rounds", [1, 20, 23])
+    @pytest.mark.parametrize("alice, bob", [
+        (JointDistribution(1.0, 0.0, 0.0, 0.0), JointDistribution(0.0, 0.0, 0.0, 1.0)),
+        (JointDistribution(0.0, 0.0, 0.0, 1.0), JointDistribution(0.5, 0.0, 0.5, 0.0)),
+        (JointDistribution(0.0, 1.0, 0.0, 0.0), JointDistribution(0.0, 0.0, 1.0, 0.0)),
+    ])
+    def test_degenerate_joint_play_is_exact(self, monkeypatch, chunk, rounds, alice, bob):
+        monkeypatch.setattr(casino, "_CHUNK_ROUNDS", chunk)
+        got = simulate_joint(self.SPEC, alice, bob, rounds, seed=9)
+        assert report_statistics(got) == exact_statistics(
+            joint_rounds(self.SPEC, alice, bob, rounds, 9))
 
     def test_statistics_do_not_depend_on_chunk_size(self, monkeypatch):
         want = simulate(self.SPEC, 0.3, 0.9, 3000, seed=5)

@@ -181,5 +181,9 @@ class TestJointValidation:
         with pytest.raises(ValueError):
             JointDistribution(0.3, 0.3, 0.3, 0.3)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError):
+            JointDistribution(math.nan, 0.5, 0.25, 0.25)
+
     def test_strategy_order_is_frozen(self):
         assert COMPOUND_STRATEGIES == ("1-2", "1-4", "3-2", "3-4")

@@ -18,6 +18,18 @@ ZERO = {"c1": 0.0, "c2": 0.0, "c3": 0.0, "c4": 0.0,
         "alice": {"theta": 0.3}, "bob": {"tau": 0.6}}
 
 
+def chained_csv(doc, alpha, beta, rounds, seed) -> str:
+    """The ``simulate --csv`` file of ``rounds`` chained play_round calls."""
+    spec = make_spec(*(doc[c] for c in ("c1", "c2", "c3", "c4")),
+                     doc["alice"]["theta"], doc["alice"]["lambda"],
+                     doc["bob"]["tau"], doc["bob"]["mu"])
+    payoffs = [total for total, _, _ in chained_rounds(spec, alpha, beta, rounds, seed)]
+    running = np.cumsum(payoffs) / np.arange(1, rounds + 1)
+    f = serialize.format_float
+    return "round,payoff,running_mean\n" + "".join(
+        f"{k + 1},{f(p)},{f(float(m))}\n" for k, (p, m) in enumerate(zip(payoffs, running)))
+
+
 @pytest.fixture
 def spec_file(tmp_path):
     def write(doc, name="spec.json"):
@@ -328,15 +340,15 @@ class TestSimulate:
         rounds, out = 20, tmp_path / "rounds.csv"  # two and a half chunks
         assert main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
                      "--rounds", str(rounds), "--seed", "11", "--csv", str(out)]) == 0
-        spec = make_spec(*(GENERIC[c] for c in ("c1", "c2", "c3", "c4")),
-                         GENERIC["alice"]["theta"], GENERIC["alice"]["lambda"],
-                         GENERIC["bob"]["tau"], GENERIC["bob"]["mu"])
-        payoffs = [total for total, _, _ in chained_rounds(spec, 0.3, 0.9, rounds, 11)]
-        running = np.cumsum(payoffs) / np.arange(1, rounds + 1)
-        f = serialize.format_float
-        want = "round,payoff,running_mean\n" + "".join(
-            f"{k + 1},{f(p)},{f(float(m))}\n" for k, (p, m) in enumerate(zip(payoffs, running)))
-        assert out.read_text(encoding="utf-8") == want
+        assert out.read_text(encoding="utf-8") == chained_csv(GENERIC, 0.3, 0.9, rounds, 11)
+
+    @pytest.mark.parametrize("rounds", [8191, 8192, 8193])
+    def test_csv_at_the_chunk_boundary_matches_chained_rounds(self, capsys, tmp_path,
+                                                              spec_file, rounds):
+        out = tmp_path / "rounds.csv"
+        assert main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
+                     "--rounds", str(rounds), "--seed", "11", "--csv", str(out)]) == 0
+        assert out.read_text(encoding="utf-8") == chained_csv(GENERIC, 0.3, 0.9, rounds, 11)
 
     def test_json_round_trip_is_byte_identical(self, capsys, spec_file):
         main(["simulate", spec_file(GENERIC), "--alpha", "0.3",

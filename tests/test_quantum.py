@@ -269,3 +269,7 @@ class TestValidation:
     def test_quadruple_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             ProbabilityQuadruple(1.5, 0.5, -0.5, 0.5)
+
+    def test_quadruple_rejects_nan(self):
+        with pytest.raises(ValueError):
+            ProbabilityQuadruple(math.nan, 0.5, 0.5, 0.5)
