@@ -25,6 +25,7 @@ without that structure.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -49,6 +50,21 @@ _DESK_RTOL = 1e-12
 def _angle_rows(t: np.ndarray) -> np.ndarray:
     """Rows x(t) = (1, cos 2t, sin 2t), one for each angle in ``t``."""
     return np.stack([np.ones(len(t)), np.cos(2.0 * t), np.sin(2.0 * t)], axis=1)
+
+
+def _grid_rows(n: int) -> np.ndarray:
+    """The rows x(k*pi/n), k = 0..n-1, of an n-point grid, n at least 8."""
+    if n < 8:
+        raise ValueError("grid resolution must be at least 8")
+    return _cached_grid_rows(n)
+
+
+@functools.lru_cache(maxsize=4)
+def _cached_grid_rows(n: int) -> np.ndarray:
+    """Read-only grid rows, kept for the 4 grid sizes used last (24*n bytes each)."""
+    rows = _angle_rows(np.arange(n) * (math.pi / n))
+    rows.setflags(write=False)
+    return rows
 
 
 @dataclass(frozen=True)
@@ -109,21 +125,35 @@ def payoff_kernel(spec: GameSpec) -> np.ndarray:
 
     Each player has p1 = u1 . x and p2 = u2 . x with u1 = (1, 1, 0) / 2 and
     u2 = (1, cos 2*theta, sin 2*theta cos lam) / 2; the complements are
-    e0 - u, because 1 = e0 . x.
+    e0 - u, because 1 = e0 . x.  So
+
+        K = c3 a1 (e0 - b1)^T + c1 (e0 - a1) b1^T + c4 a2 (e0 - b2)^T + c2 (e0 - a2) b2^T
+
+    with a for Alice's rows and b for Bob's.  The entries are built from
+    Python floats, each term as c * (u_i * v_j) and the four added in that
+    order, which are the roundings of the ``np.outer`` form: the kernel is
+    unchanged bit for bit.
     """
     c = spec.coefficients
-    e0 = np.array([1.0, 0.0, 0.0])
     a1, a2 = _probability_rows(spec.alice_frame)
     b1, b2 = _probability_rows(spec.bob_frame)
-    return (c.c3 * np.outer(a1, e0 - b1) + c.c1 * np.outer(e0 - a1, b1)
-            + c.c4 * np.outer(a2, e0 - b2) + c.c2 * np.outer(e0 - a2, b2))
+    na1, na2, nb1, nb2 = map(_complement_row, (a1, a2, b1, b2))
+    return np.array([[c.c3 * (a1[i] * nb1[j]) + c.c1 * (na1[i] * b1[j])
+                      + c.c4 * (a2[i] * nb2[j]) + c.c2 * (na2[i] * b2[j])
+                      for j in range(3)] for i in range(3)])
 
 
-def _probability_rows(frame) -> tuple[np.ndarray, np.ndarray]:
+def _probability_rows(frame) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The rows u1 and u2 of ``frame``, as in ``payoff_kernel``."""
     two_theta = 2.0 * frame.theta
-    return (np.array([0.5, 0.5, 0.0]),
-            0.5 * np.array([1.0, math.cos(two_theta),
-                            math.sin(two_theta) * math.cos(frame.lam)]))
+    return ((0.5, 0.5, 0.0),
+            (0.5, 0.5 * math.cos(two_theta),
+             0.5 * (math.sin(two_theta) * math.cos(frame.lam))))
+
+
+def _complement_row(u: tuple[float, ...]) -> tuple[float, float, float]:
+    """e0 - u, entry by entry."""
+    return (1.0 - u[0], 0.0 - u[1], 0.0 - u[2])
 
 
 def _x(t: float) -> np.ndarray:
@@ -152,12 +182,14 @@ def grid_saddle_oracle(spec: GameSpec, n: int = 256) -> EquilibriumResult:
 
     The grid is h = X K X^T on the payoff kernel, X the rows x(k*pi/n).
     Deterministic: ties are broken toward the smallest alpha, then the
-    smallest beta.  Serves as the reference oracle for the refiner.
+    smallest beta.  Serves as the reference oracle for the refiner.  The
+    rows X are computed once per n and shared, read-only, with
+    ``verify_saddle``; the four sizes used last are kept, 24*n bytes each.
+    Results are those of rows computed afresh.  Raises ValueError for
+    n < 8.
     """
-    if n < 8:
-        raise ValueError("grid resolution must be at least 8")
+    x = _grid_rows(n)
     step = math.pi / n
-    x = _angle_rows(np.arange(n) * step)
     h = x @ payoff_kernel(spec) @ x.T
     row_min = h.min(axis=1)
     col_max = h.max(axis=0)
@@ -270,10 +302,12 @@ def verify_saddle(spec: GameSpec, result: EquilibriumResult, n: int = 256) -> fl
     Returns max(0, max_alpha h(alpha, beta*) - v, v - min_beta h(alpha*, beta))
     over the angles k*pi/n, with h evaluated on the payoff kernel; a small
     value certifies that neither player gains much by deviating to any
-    grid angle.
+    grid angle.  The grid rows are the cached, read-only rows that
+    ``grid_saddle_oracle`` uses; the bound is that of rows computed afresh.
+    Raises ValueError for n < 8, as the oracle does.
     """
+    x = _grid_rows(n)
     k = payoff_kernel(spec)
-    x = _angle_rows(np.arange(n) * (math.pi / n))
     best_dev_alice = float((x @ (k @ _x(result.beta_star))).max())
     best_dev_bob = float((x @ (k.T @ _x(result.alpha_star))).min())
     return max(0.0, best_dev_alice - result.value, result.value - best_dev_bob)

@@ -1,16 +1,20 @@
 """Regenerate the golden CLI corpus in this directory.
 
-    python3 tests/golden/regenerate.py
+    python3 tests/golden/regenerate.py [--check]
 
 Each ``<name>.json`` holds one game spec and, for every command in
 ``COMMANDS``, the exit code and stdout of ``quantumdesks.cli.main`` run in
 process, plus the bytes of every file the command wrote.
 ``tests/test_golden.py`` replays the same commands and compares.  Rerun
 this script only for a deliberate change of output, and list what moved.
+With ``--check`` it rewrites nothing: it prints each spec and command
+whose exit code, stdout or written files would change, and exits 1 if
+any would.
 """
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import io
 import json
@@ -149,15 +153,46 @@ def render(doc: dict) -> str:
     return json.dumps(doc, indent=1) + "\n"
 
 
-def main() -> None:
+def differences(name: str, doc: dict, old: dict | None) -> list[str]:
+    """One line for each part of the golden ``old`` that ``doc`` would change."""
+    if old is None:
+        return [f"{name}: no golden file"]
+    lines = [f"{name}: spec"] if doc["spec"] != old.get("spec") else []
+    old_runs = {run["argv"]: run for run in old.get("runs", [])}
+    for run in doc["runs"]:
+        was = old_runs.pop(run["argv"], None)
+        if was is None:
+            lines.append(f"{name}: {run['argv']}: not in the golden file")
+            continue
+        moved = [key for key in ("exit", "stdout", "files") if run[key] != was.get(key)]
+        if moved:
+            lines.append(f"{name}: {run['argv']}: {', '.join(moved)}")
+    lines += [f"{name}: {argv}: no longer run" for argv in old_runs]
+    return lines or [f"{name}: file layout"]
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="rewrite nothing; list what would change, exit 1 if anything would")
+    check = parser.parse_args(argv).check
+    changed = False
     for name, game in SPECS.items():
         path = HERE / f"{name}.json"
-        text = render(golden(game))
+        doc = golden(game)
+        text = render(doc)
         old = path.read_text(encoding="utf-8") if path.exists() else None
-        if text != old:
+        if text == old:
+            continue
+        changed = True
+        if check:
+            for line in differences(name, doc, None if old is None else json.loads(old)):
+                print(line)
+        else:
             path.write_text(text, encoding="utf-8")
             print(f"{'wrote' if old is None else 'changed'} {path.name}")
+    return 1 if check and changed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -22,6 +22,7 @@ from quantumdesks.equilibrium import (
     FLAG_NO_CONVERGENCE,
     FLAG_NO_SADDLE,
     _TIE_RTOL,
+    _cached_grid_rows,
     _security_level,
     _solve_by_support_enumeration,
 )
@@ -256,6 +257,14 @@ class TestVerifySaddle:
         spec = make_spec(0, 0, 0, 0)
         got = refine_saddle(spec, (0.3, 0.7))
         assert verify_saddle(spec, got, 64) == 0.0
+
+    @pytest.mark.parametrize("n", [0, -4, 7])
+    def test_rejects_tiny_grids_before_caching_them(self, n):
+        got = refine_saddle(DECOUPLED)
+        cached = _cached_grid_rows.cache_info()
+        with pytest.raises(ValueError, match="grid resolution must be at least 8"):
+            verify_saddle(DECOUPLED, got, n)
+        assert _cached_grid_rows.cache_info() == cached
 
 
 class TestSolveClassical:

@@ -7,7 +7,9 @@ import math
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from quantumdesks import (
     JointDistribution,
@@ -17,9 +19,12 @@ from quantumdesks import (
     angles_for_point,
     build_payoff_operator,
     classical_matrix,
+    complement,
     expectation,
+    frame_projectors,
     grid_saddle_oracle,
     is_product_form,
+    make_projector,
     payoff_kernel,
     payoff_surface,
     probabilities_from_angle,
@@ -31,9 +36,9 @@ from quantumdesks import (
     verify_saddle,
 )
 from quantumdesks import casino, serialize
-from quantumdesks.quantum import angle_gap
-from quantumdesks.equilibrium import (FLAG_NO_SADDLE, _TIE_RTOL,
-                                      _solve_by_support_enumeration)
+from quantumdesks.quantum import _kron, angle_gap
+from quantumdesks.equilibrium import (FLAG_NO_SADDLE, _TIE_RTOL, _angle_rows, _grid_rows,
+                                      _security_level, _solve_by_support_enumeration)
 from conftest import (chained_rounds, dense_security_level, exact_statistics,
                       make_spec, scale_stakes)
 
@@ -71,6 +76,8 @@ angles = st.one_of(st.sampled_from([-1e-20, 0.0, math.pi, 2 * math.pi]),
 # No seed takes the canonical tie rule; a seed takes the nearest optimum.
 seeds = st.one_of(st.none(), st.tuples(angles, angles))
 scales = st.sampled_from([1.0, 1e3, 1e6, 1e9, 1e12])
+# down to subnormal stakes, where a reordered product or sum rounds differently
+bit_scales = st.one_of(scales, st.just(1e-310))
 
 
 def mass(spec) -> float:
@@ -263,3 +270,167 @@ def test_simulate_equals_chained_play_round(spec, alpha, beta, rounds, seed, chu
         got = simulate(spec, alpha, beta, rounds, seed)
     assert (got.empirical_mean, got.std_error, got.per_desk_means) == \
         exact_statistics(chained_rounds(spec, alpha, beta, rounds, seed))
+
+
+def outer_kernel(spec) -> np.ndarray:
+    """The payoff kernel by its np.outer formula: the reference for its bits."""
+    c = spec.coefficients
+    e0 = np.array([1.0, 0.0, 0.0])
+
+    def rows(frame):
+        two_theta = 2.0 * frame.theta
+        return (np.array([0.5, 0.5, 0.0]),
+                0.5 * np.array([1.0, math.cos(two_theta),
+                                math.sin(two_theta) * math.cos(frame.lam)]))
+
+    a1, a2 = rows(spec.alice_frame)
+    b1, b2 = rows(spec.bob_frame)
+    return (c.c3 * np.outer(a1, e0 - b1) + c.c1 * np.outer(e0 - a1, b1)
+            + c.c4 * np.outer(a2, e0 - b2) + c.c2 * np.outer(e0 - a2, b2))
+
+
+def kron_operator(spec) -> np.ndarray:
+    """The payoff operator's entries as the np.kron sum over projectors built
+    afresh: the reference for their bits."""
+    c = spec.coefficients
+
+    def projectors(frame):
+        first, second = make_projector(0.0, 0.0), make_projector(frame.theta, frame.lam)
+        return [p.entries for p in (first, second, complement(first), complement(second))]
+
+    a1, a2, a3, a4 = projectors(spec.alice_frame)
+    b1, b2, b3, b4 = projectors(spec.bob_frame)
+    return (c.c3 * np.kron(a1, b3) + c.c1 * np.kron(a3, b1)
+            + c.c4 * np.kron(a2, b4) + c.c2 * np.kron(a4, b2))
+
+
+matrices = arrays(complex, (2, 2), elements=st.complex_numbers(
+    max_magnitude=1e150, allow_nan=False, allow_infinity=False))
+
+
+@PROPERTY
+@given(matrices, matrices)
+def test_broadcast_kron_is_np_kron_bit_for_bit(a, b):
+    assert _kron(a, b).tobytes() == np.kron(a, b).tobytes()
+
+
+@PROPERTY
+@given(specs, bit_scales, angles, angles, angles)
+def test_operator_and_expectation_are_the_kron_forms_bit_for_bit(spec, scale, alpha,
+                                                                 beta, omega):
+    spec = scale_stakes(spec, scale)
+    h = build_payoff_operator(spec)
+    assert h.entries.tobytes() == kron_operator(spec).tobytes()
+    a, b = StateVector(alpha, omega), StateVector(beta)
+    v = np.kron(a.amplitudes, b.amplitudes)
+    assert expectation(h, a, b).hex() == complex(v.conj() @ h.entries @ v).real.hex()
+
+
+@PROPERTY
+@given(specs, bit_scales)
+def test_kernel_is_the_outer_form_bit_for_bit(spec, scale):
+    spec = scale_stakes(spec, scale)
+    assert payoff_kernel(spec).tobytes() == outer_kernel(spec).tobytes()
+
+
+@PROPERTY
+@given(st.one_of(frames, near_segment_frames))
+def test_frames_share_the_first_observable(frame):
+    got = frame_projectors(frame)
+    first, second = make_projector(0.0, 0.0), make_projector(frame.theta, frame.lam)
+    want = (first, second, complement(first), complement(second))
+    assert [p.entries.tobytes() for p in got] == [p.entries.tobytes() for p in want]
+    shared = frame_projectors(ObservableFrame(0.0))
+    assert got[0] is shared[0] and got[2] is shared[2]
+    for p in got:
+        with pytest.raises(ValueError):
+            p.entries[0, 0] = 0.5
+
+
+@PROPERTY
+@given(st.integers(8, 4096))
+def test_cached_grid_rows_are_fresh_rows_and_read_only(n):
+    got = _grid_rows(n)
+    assert got.tobytes() == _angle_rows(np.arange(n) * (math.pi / n)).tobytes()
+    assert _grid_rows(n) is got
+    with pytest.raises(ValueError):
+        got[0, 0] = 0.5
+
+
+def mixed_value(k: np.ndarray) -> tuple[float, float]:
+    """Alice's and Bob's security levels when each may mix angles.
+
+    Mixing fills the disk x = (1, xi), |xi| <= 1.  With K = [[a, c^T], [b, M]],
+    Alice's mixed level F(xi) = a + b.xi - |c + M^T xi| is concave, and its
+    maximum is the larger of the pure maximin (|xi| = 1) and F at the kink
+    xi0 = -M^{-T} c when M is invertible and |xi0| <= 1; any other interior
+    optimum lies on a ridge that reaches the circle.  F(xi0) is a + b.xi0 up
+    to the rounding of the kink.  Bob's level is the same on -K^T, negated.
+    """
+    def level(k):
+        pure = _security_level(k, None)[1]
+        a, c, b, m = k[0, 0], k[0, 1:], k[1:, 0], k[1:, 1:]
+        with np.errstate(all="ignore"):
+            try:
+                xi = -np.linalg.solve(m.T, c)
+            except np.linalg.LinAlgError:
+                return pure
+            if not xi @ xi <= 1.0:  # NaN from a singular solve fails too
+                return pure
+            return max(pure, float(a + b @ xi - np.linalg.norm(c + m.T @ xi)))
+
+    return level(k), -level(-k.T)
+
+
+# opposite-sign desks at quarter tilts: every angle secures -1/2 for Alice
+# and 1/2 for Bob, and mixing secures 0 for both
+NO_PURE_SADDLE = make_spec(1.0, -1.0, 1.0, -1.0, math.pi / 4, 0.0, math.pi / 4, 0.0)
+
+
+@settings(PROPERTY, max_examples=400)
+@given(specs, scales, seeds)
+@example(NO_PURE_SADDLE, 1.0, None)
+def test_mixed_value_lies_between_the_one_sided_values(spec, scale, seed):
+    spec = scale_stakes(spec, scale)
+    got = refine_saddle(spec, seed)
+    k = payoff_kernel(spec)
+    tie = _TIE_RTOL * (1.0 + np.abs(k).sum())
+    for v in mixed_value(k):
+        assert got.max_min - tie <= v <= got.min_max + tie
+
+
+def assert_no_saddle_exactly_when_inside(spec, seed):
+    got = refine_saddle(spec, seed)
+    v, _ = mixed_value(payoff_kernel(spec))
+    threshold = max(10.0 * max(1e-9, _TIE_RTOL * mass(spec)), 1e-8)
+    inside = got.max_min + threshold < v < got.min_max - threshold
+    assert (FLAG_NO_SADDLE in got.flags) == inside
+
+
+@settings(PROPERTY, max_examples=400)
+@given(specs, seeds)
+@example(NO_PURE_SADDLE, None)
+def test_no_saddle_exactly_when_the_mixed_value_lies_strictly_inside(spec, seed):
+    assert_no_saddle_exactly_when_inside(spec, seed)
+
+
+# At Alice's optimum in these games |(r1, r2)| nearly vanishes: her tilt is
+# 0, and one stake is 2**-24 of the others or Bob's tilt is 1e-7.  So f has a
+# sharp peak there and the quartic a near-double root, which np.roots places
+# only to ~1e-8 rad.  max_min comes out 2.4e-6 and 2.9e-10 below the true
+# maximin; a fine scan across each peak finds that equal to min_max.  The
+# first miss is past the no-saddle threshold at stakes x1e3, so a game with
+# a saddle is flagged; the second stays under the 1e-8 floor.  By the
+# minimax theorem the two players' mixed values agree.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="_security_level places a near-double root of the quartic "
+                          "only to ~1e-8 rad")
+@pytest.mark.parametrize("spec", [
+    scale_stakes(make_spec(0.0, -2.0, -5.960464477539063e-08, -2.0, tau=0.5), 1e3),
+    make_spec(-2.0, -2.0, -2.0, -1.0, tau=1e-7),
+])
+def test_levels_at_a_sharp_peak(spec):
+    k = payoff_kernel(spec)
+    alice, bob = mixed_value(k)
+    assert abs(alice - bob) <= _TIE_RTOL * (1.0 + np.abs(k).sum())
+    assert_no_saddle_exactly_when_inside(spec, None)
