@@ -37,6 +37,7 @@ from .geometry import (
 from .classical import (
     COMPOUND_STRATEGIES,
     ClassicalMatrix,
+    ClassicalSolution,
     JointDistribution,
     bilinear_payoff,
     classical_matrix,
@@ -44,17 +45,16 @@ from .classical import (
     independent_joint,
     is_product_form,
     marginals,
+    solve_classical,
     swapped_labels,
 )
 from .equilibrium import (
-    ClassicalSolution,
     EquilibriumResult,
     grid_saddle_oracle,
     payoff_gradient,
     payoff_kernel,
     payoff_surface,
     refine_saddle,
-    solve_classical,
     verify_saddle,
 )
 from .casino import (

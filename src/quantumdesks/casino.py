@@ -21,13 +21,16 @@ Within a round the draw order is frozen: Alice odd, Alice even, Bob odd,
 Bob even (two draws, Alice then Bob, in the correlated-joint variant).
 Changing either the generator or the order is a breaking change.
 
-A round ends in one of 16 outcome cells: the four yes/no outcomes, or
-the pair of compound strategies in the correlated variant.  The state
-advance is a constant increment, so the stream can start at any round
-with one addition; a simulation draws a fixed chunk of rounds at a time
-into buffers it reuses, counts the cells and keeps nothing else.  Its
-memory does not grow with the number of rounds, and its statistics
-follow exactly from the 16 counts.
+A round ends in one of 16 outcome cells: cell 4*i + j is Alice's
+compound strategy i against Bob's j, the row-major index into
+``classical_matrix``, and the round pays what ``classical.desk_table``
+holds for its cell.  Product-form rounds pack their four "no" bits in
+draw order, which gives that index; correlated rounds draw i and j
+directly.  The state advance is a constant increment, so the stream can
+start at any round with one addition; a simulation draws a fixed chunk
+of rounds at a time into buffers it reuses, counts the cells and keeps
+nothing else.  Its memory does not grow with the number of rounds, and
+its statistics follow exactly from the 16 counts.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .classical import (
     bilinear_payoff,
     classical_matrix,
     desk_payoff,
+    desk_table,
 )
 from .equilibrium import payoff_surface
 from .geometry import probabilities_from_angle
@@ -138,13 +142,6 @@ class SimReport:
         }
 
 
-def _desk_payoff_arrays(c, alice_odd_yes, alice_even_yes, bob_odd_yes, bob_even_yes):
-    """Vectorized desk payoffs from boolean yes/no outcome arrays."""
-    odd = c.c3 * (alice_odd_yes & ~bob_odd_yes) + c.c1 * (~alice_odd_yes & bob_odd_yes)
-    even = c.c4 * (alice_even_yes & ~bob_even_yes) + c.c2 * (~alice_even_yes & bob_even_yes)
-    return odd, even
-
-
 def play_round(
     spec: GameSpec, alpha: float, beta: float, rng_state: int
 ) -> tuple[float, tuple[float, float], int]:
@@ -182,35 +179,32 @@ def simulate(
     one final rounding each.  Stakes beyond about 1e150 in magnitude
     overflow the variance and raise OverflowError.
     """
-    odd, even, cells = _product_rounds(spec, alpha, beta, rounds, seed)
-    return _report(_cell_counts(cells), odd, even,
+    cells = _product_rounds(spec, alpha, beta, rounds, seed)
+    return _report(_cell_counts(cells), *desk_table(spec.coefficients),
                    payoff_surface(spec, alpha, beta), rounds, seed)
 
 
 def _product_rounds(spec, alpha, beta, rounds, seed):
-    """(odd, even) payoff of each cell, and the cells of product-form play.
-
-    A round's cell is 8 * Alice odd yes + 4 * Alice even yes + 2 * Bob odd
-    yes + Bob even yes, the bits in the draw order.
-    """
+    """The outcome cells of product-form play, a chunk of rounds at a time."""
     if rounds < 1:
         raise ValueError("need at least one round")
     p = probabilities_from_angle(alpha, spec.alice_frame)
     q = probabilities_from_angle(beta, spec.bob_frame)
-    yes = np.arange(16)[:, None] >> np.arange(3, -1, -1) & 1 == 1
-    odd, even = _desk_payoff_arrays(spec.coefficients, *yes.T)
-    return odd, even, _round_cells(seed, rounds, [[p.p1, p.p2, q.p1, q.p2]],
-                                   _product_cells)
+    return _round_cells(seed, rounds, [[p.p1, p.p2, q.p1, q.p2]], _product_cells)
 
 
 def _product_cells(mantissas, limits, cells) -> None:
-    """Pack each round's four yes-bits into its cell.
+    """Pack each round's four no-bits into its cell.
+
+    The bits in draw order, 8 * Alice odd no + 4 * Alice even no + 2 * Bob
+    odd no + Bob even no, are 4 * Alice's compound index + Bob's, because
+    the compound index is 2 * odd no + even no.
 
     ``packbits`` puts two rounds in a byte, the first in the high nibble;
     when the chunk has an odd number of rounds, the low nibble of the
     last byte is padding and is not read.
     """
-    packed = np.packbits(np.less(mantissas, limits[0]))
+    packed = np.packbits(np.greater_equal(mantissas, limits[0]))
     np.right_shift(packed, 4, out=cells[0::2])
     np.bitwise_and(packed[:len(cells) // 2], 15, out=cells[1::2])
 
@@ -258,10 +252,6 @@ def simulate_joint(
     """
     if rounds < 1:
         raise ValueError("need at least one round")
-    # cell 4 * Alice's compound index + Bob's; odd yes for 1-2/1-4, even yes for 1-2/3-2
-    a, b = np.divmod(np.arange(16), 4)
-    odd, even = _desk_payoff_arrays(spec.coefficients, a <= 1, a % 2 == 0,
-                                    b <= 1, b % 2 == 0)
     # inverse-CDF draw over the fixed compound-strategy order: a compound
     # index is the number of cumulative-probability edges at or below the
     # uniform; ``uniform >= edge`` negates ``uniform < edge``, so an edge's
@@ -269,7 +259,7 @@ def simulate_joint(
     edges = list(zip(*(np.cumsum(j.as_vector())[:3].tolist() for j in (alice, bob))))
     analytic = bilinear_payoff(classical_matrix(spec.coefficients), alice, bob)
     return _report(_cell_counts(_round_cells(seed, rounds, edges, _compound_cells)),
-                   odd, even, analytic, rounds, seed)
+                   *desk_table(spec.coefficients), analytic, rounds, seed)
 
 
 def _compound_cells(mantissas, limits, cells) -> None:

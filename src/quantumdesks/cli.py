@@ -34,14 +34,8 @@ import numpy as np
 
 from . import serialize
 from .casino import _product_rounds, simulate
-from .classical import COMPOUND_STRATEGIES, classical_matrix, swapped_labels
-from .equilibrium import (
-    FLAG_NO_CONVERGENCE,
-    payoff_surface,
-    refine_saddle,
-    solve_classical,
-    verify_saddle,
-)
+from .classical import COMPOUND_STRATEGIES, classical_matrix, solve_classical, swapped_labels
+from .equilibrium import FLAG_NO_CONVERGENCE, refine_saddle
 from .geometry import conic_coefficients, curve_points, probabilities_from_angle
 from .quantum import (
     GameSpec,
@@ -187,14 +181,8 @@ def cmd_curve(args) -> int:
 
 def cmd_equilibrium(args) -> int:
     spec = load_game_spec(args.spec)
-    if args.grid_n < 8:
-        print("error: --grid-n must be at least 8", file=sys.stderr)
-        return EXIT_USAGE
     refined = refine_saddle(spec, tol=args.tol)
-    grid_certificate = verify_saddle(spec, refined, n=args.grid_n)
-    report = refined.to_dict()
-    report["certificate"] = max(refined.certificate, grid_certificate)
-    print(serialize.dumps(report))
+    print(serialize.dumps(refined.to_dict()))
     if FLAG_NO_CONVERGENCE in refined.flags:
         return EXIT_NO_CONVERGENCE
     return EXIT_OK
@@ -258,9 +246,8 @@ def _write_rounds(fh, spec, args) -> None:
     The running sum carries across chunks by leading each chunk's cumsum
     with the previous total, so it equals one cumsum over all rounds.
     """
-    odd, even, cells = _product_rounds(spec, args.alpha, args.beta,
-                                       args.rounds, args.seed)
-    payoffs = odd + even
+    cells = _product_rounds(spec, args.alpha, args.beta, args.rounds, args.seed)
+    payoffs = classical_matrix(spec.coefficients).entries.ravel()
     labels = [serialize.format_float(v) for v in payoffs.tolist()]
     fh.write("round,payoff,running_mean\n")
     done, running = 0, None
@@ -300,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eq = sub.add_parser("equilibrium", help="search for the saddle point")
     p_eq.add_argument("spec")
-    p_eq.add_argument("--grid-n", type=int, default=256,
-                      help="grid resolution for the certificate")
     p_eq.add_argument("--tol", type=float, default=1e-9,
                       help="saddle tolerance: no_saddle when the one-sided "
                            "values differ by more than max(10*tol, 1e-8), tol "

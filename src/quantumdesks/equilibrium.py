@@ -1,4 +1,4 @@
-"""Saddle-point search over the two strategy angles, plus a 4x4 matrix solver.
+"""Saddle-point search over the two strategy angles.
 
 With x(t) = (1, cos 2t, sin 2t), each player's desk probabilities are
 linear in x of that player's angle, so the payoff is exactly the bilinear
@@ -11,16 +11,13 @@ function; Bob's minimax is the same computation on -K^T.
 ``refine_saddle`` solves both exactly: where that function is smooth its
 stationary angles are roots of a degree-8 polynomial in exp(2it), and
 the rest of its candidate maxima have closed forms too.  The game has a
-saddle exactly when the two one-sided values meet.  The grid oracle, the
-tests' reference, and ``verify_saddle``, the CLI's certificate, evaluate
-the same kernel on rows of x at uniform angles.
+saddle exactly when the two one-sided values meet, and the certificate is
+exact, because max_min and min_max are the best deviations from the
+reported profile.  The grid oracle, the tests' reference, and
+``verify_saddle`` evaluate the same kernel on rows of x at uniform angles;
+a grid can only fall short of the exact deviations.
 The scalar ``payoff_surface`` evaluates the probability map directly and
 is the reference the kernel is tested against.
-
-The compound 4x4 matrix game of ``classical`` is the odd-desk 2x2 game
-plus the even-desk 2x2 game.  ``solve_classical`` solves the two desk
-games in closed form and keeps support enumeration for any 4x4 matrix
-without that structure.
 """
 
 from __future__ import annotations
@@ -28,14 +25,11 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .geometry import probabilities_from_angle
-from .quantum import (GameSpec, ProbabilityQuadruple, angle_gap, reduce_angle,
-                      scalar_payoff)
-from .classical import ClassicalMatrix, independent_joint
+from .quantum import GameSpec, angle_gap, reduce_angle, scalar_payoff
 
 FLAG_NO_CONVERGENCE = "no_convergence"
 FLAG_NO_SADDLE = "no_saddle"
@@ -43,8 +37,6 @@ FLAG_NOT_STATIONARY = "not_stationary"
 
 #: objective values this close, relative to the kernel's mass, are ties
 _TIE_RTOL = 1e-12
-#: a matrix is a desk sum when it fits one within this, relative to 1 + max|m|
-_DESK_RTOL = 1e-12
 
 
 def _angle_rows(t: np.ndarray) -> np.ndarray:
@@ -95,22 +87,6 @@ class EquilibriumResult:
             "certificate": self.certificate,
             "flags": list(self.flags),
         }
-
-
-@dataclass(frozen=True)
-class ClassicalSolution:
-    """Optimal mixed strategies and value of the 4x4 compound-strategy game."""
-
-    alice_mixed: np.ndarray
-    bob_mixed: np.ndarray
-    value: float
-    degenerate: bool = False
-
-    def __post_init__(self):
-        for name in ("alice_mixed", "bob_mixed"):
-            v = np.array(getattr(self, name), dtype=float)
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
 
 
 def payoff_surface(spec: GameSpec, alpha: float, beta: float) -> float:
@@ -311,188 +287,3 @@ def verify_saddle(spec: GameSpec, result: EquilibriumResult, n: int = 256) -> fl
     best_dev_alice = float((x @ (k @ _x(result.beta_star))).max())
     best_dev_bob = float((x @ (k.T @ _x(result.alpha_star))).min())
     return max(0.0, best_dev_alice - result.value, result.value - best_dev_bob)
-
-
-def solve_classical(m: ClassicalMatrix, tol: float = 1e-9) -> ClassicalSolution:
-    """Value and optimal mixed strategies of the 4x4 zero-sum matrix game.
-
-    Compound strategy i plays odd-desk action a_i = i // 2 and even-desk
-    action b_i = i % 2.  When m[i, j] = O[a_i, a_j] + E[b_i, b_j] within
-    1e-12 * (1 + max|m|) for 2x2 desk games O and E, as every
-    ``classical_matrix`` is, each desk game is solved in closed form: the
-    value is v_O + v_E, and each player's strategy is the product joint of
-    their two optimal desk marginals.  That result is checked against the
-    optimality inequalities at tol * (1 + max|m|).  Any other matrix, or a
-    result that fails the check, goes to support enumeration.
-
-    ``degenerate`` means some player has more than one optimal joint.  For a
-    desk sum that holds when a desk game has more than one optimal marginal
-    for either player, or when a player mixes on both desks, because every
-    joint with the optimal marginals is then optimal; desk-game entries
-    within tol * (1 + max|m|) count as tied.  For enumeration it holds when
-    verified support pairs realize more than one distinct support.
-    """
-    M = np.asarray(m.entries, dtype=float)
-    solution = _solve_desk_sum(M, tol)
-    if solution is None:
-        solution = _solve_by_support_enumeration(m, tol)
-    return solution
-
-
-def _solve_desk_sum(M: np.ndarray, tol: float) -> ClassicalSolution | None:
-    """The closed-form desk solution; None unless ``M`` is a desk sum it solves."""
-    scale = 1.0 + float(np.abs(M).max())
-    check_tol = tol * scale
-    odd = M[::2, ::2]
-    even = M[:2, :2] - M[0, 0]
-    # M.reshape(2, 2, 2, 2)[a, b, a', b'] is M[2a + b, 2a' + b']
-    misfit = float(np.abs(M.reshape(2, 2, 2, 2)
-                          - (odd[:, None, :, None] + even[None, :, None, :])).max())
-    if not misfit <= _DESK_RTOL * scale:
-        return None
-    v_odd, p_odd, q_odd, loose_odd = _solve_2x2(odd.tolist(), check_tol)
-    v_even, p_even, q_even, loose_even = _solve_2x2(even.tolist(), check_tol)
-    value = v_odd + v_even
-    x = independent_joint(ProbabilityQuadruple(p_odd, p_even, 1.0 - p_odd,
-                                               1.0 - p_even)).as_vector()
-    y = independent_joint(ProbabilityQuadruple(q_odd, q_even, 1.0 - q_odd,
-                                               1.0 - q_even)).as_vector()
-    if not ((x @ M).min() >= value - check_tol and (M @ y).max() <= value + check_tol):
-        return None
-    mixes_both = (0.0 < p_odd < 1.0 and 0.0 < p_even < 1.0) or \
-        (0.0 < q_odd < 1.0 and 0.0 < q_even < 1.0)
-    return ClassicalSolution(x, y, value,
-                             degenerate=loose_odd or loose_even or mixes_both)
-
-
-def _solve_2x2(g: list, eq: float) -> tuple[float, float, float, bool]:
-    """Value of the 2x2 game ``g`` (rows maximize) and the players' weights on
-    their first actions, plus whether either player's optimum is not unique.
-
-    A pure saddle is taken when there is one, the lowest (row, column)
-    first; otherwise both players mix.  Entries within ``eq`` count as equal
-    when judging uniqueness.
-    """
-    (a, b), (c, d) = g
-    saddle = next(((i, j) for i in (0, 1) for j in (0, 1)
-                   if g[i][1 - j] >= g[i][j] >= g[1 - i][j]), None)
-    if saddle is not None:
-        i, j = saddle
-        v, p, q = g[i][j], 1.0 - i, 1.0 - j
-    else:
-        den = (a - b) + (d - c)  # both terms share one sign without a saddle
-        v, p, q = (a * d - b * c) / den, (d - c) / den, (d - b) / den
-    loose = _rows_have_many_optima(g, v, eq) or \
-        _rows_have_many_optima([[-a, -c], [-b, -d]], -v, eq)
-    return v, p, q, loose
-
-
-def _rows_have_many_optima(g: list, v: float, eq: float) -> bool:
-    """Whether the row player of the 2x2 game ``g`` of value ``v`` has more
-    than one optimal mix.
-
-    The guaranteed payoff is the lower of two lines in the mix, so it is flat
-    at its peak only when some column pays v against both rows.  The optima
-    then form an interval unless the other column pays v on one row and less
-    on the other, which pins the mix to a single point.
-    """
-    for j in (0, 1):
-        if abs(g[0][j] - v) <= eq and abs(g[1][j] - v) <= eq:
-            other = (g[0][1 - j], g[1][1 - j])
-            if max(other) > v + eq or min(other) >= v - eq:
-                return True
-    return False
-
-
-def _solve_by_support_enumeration(m: ClassicalMatrix, tol: float = 1e-9) -> ClassicalSolution:
-    """Solve any 4x4 matrix game by enumerating its 225 support pairs.
-
-    Pairs run in a fixed (size, lexicographic) order; for each pair the
-    payoff-equalization system is solved as a small linear system and the
-    candidate is kept only if it passes the optimality inequalities.  Of
-    the verified pairs, the one with the smallest duality gap
-    ``max(M y) - min(x M)`` is returned, the first in that order on ties,
-    so a pair that verifies only within the tolerance gives way to an
-    exact one.  The solution is flagged degenerate
-    when verified pairs realize more than one distinct support (the same
-    strategies re-verifying under padded supersets do not count).
-    """
-    M = np.asarray(m.entries, dtype=float)
-    check_tol = tol * (1.0 + float(np.max(np.abs(M))))
-    supports = [s for k in range(1, 5) for s in combinations(range(4), k)]
-
-    best: tuple[np.ndarray, np.ndarray, float] | None = None
-    best_gap = math.inf
-    realized: set[tuple] = set()
-    for rows in supports:
-        for cols in supports:
-            cand = _support_pair_solution(M, rows, cols, check_tol)
-            if cand is None:
-                continue
-            x, y, _ = cand
-            realized.add((tuple(x > 1e-8), tuple(y > 1e-8)))
-            gap = float(np.max(M @ y) - np.min(x @ M))
-            if best is None or gap < best_gap:
-                best, best_gap = cand, gap
-    if best is None:  # cannot happen: some square support is a game kernel
-        raise ArithmeticError("no support pair solved the matrix game")
-    x, y, value = best
-    return ClassicalSolution(x, y, value, degenerate=len(realized) > 1)
-
-
-def _support_pair_solution(M, rows, cols, tol):
-    """Equalize payoffs on a support pair; None unless optimal for both."""
-    x = _equalizing_weights(M.T, cols, rows, tol)
-    if x is None:
-        return None
-    x_full, v = x
-    if np.min(x_full @ M) < v - tol:
-        return None
-    y = _equalizing_weights(M, rows, cols, tol)
-    if y is None:
-        return None
-    y_full, w = y
-    if np.max(M @ y_full) > w + tol:
-        return None
-    if abs(v - w) > tol:
-        return None
-    return x_full, y_full, 0.5 * (v + w)
-
-
-def _equalizing_weights(payoffs, eq_idx, var_idx, tol):
-    """Weights on var_idx making payoffs[j] @ weights equal for j in eq_idx.
-
-    Solves the bordered linear system (one equation per equalized index
-    plus the normalization row); returns None when the system is
-    inconsistent or the weights dip below -tol.  A solve that is not finite,
-    as on stakes of subnormal size, counts as singular, and a solution that
-    is not finite is rejected.
-    """
-    k = len(var_idx)
-    rows = len(eq_idx) + 1
-    A = np.zeros((rows, k + 1))
-    for r, j in enumerate(eq_idx):
-        A[r, :k] = payoffs[j, list(var_idx)]
-        A[r, k] = -1.0
-    A[rows - 1, :k] = 1.0
-    rhs = np.zeros(rows)
-    rhs[rows - 1] = 1.0
-
-    sol = None
-    if rows == k + 1:
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            sol = None
-    if sol is None or not np.isfinite(sol).all():
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    if not (np.isfinite(sol).all() and np.max(np.abs(A @ sol - rhs)) <= tol):
-        return None
-
-    weights = np.zeros(payoffs.shape[1])
-    weights[list(var_idx)] = sol[:k]
-    if np.min(weights) < -tol:
-        return None
-    weights = np.clip(weights, 0.0, None)
-    weights /= weights.sum()
-    return weights, float(sol[k])

@@ -8,11 +8,13 @@ import pytest
 from quantumdesks import (
     JointDistribution,
     ProbabilityQuadruple,
+    classical_matrix,
     desk_payoff,
     independent_joint,
     marginals,
     payoff_surface,
     play_round,
+    probabilities_from_angle,
     rng_uniform,
     simulate,
     simulate_joint,
@@ -34,8 +36,9 @@ MASK64 = (1 << 64) - 1
 
 def simulated_payoffs(spec, alpha, beta, rounds, seed) -> np.ndarray:
     """Per-round payoffs of ``simulate``, from its chunks of outcome cells."""
-    odd, even, cells = _product_rounds(spec, alpha, beta, rounds, seed)
-    return np.concatenate([(odd + even)[chunk] for chunk in cells])
+    payoffs = classical_matrix(spec.coefficients).entries.ravel()
+    cells = _product_rounds(spec, alpha, beta, rounds, seed)
+    return np.concatenate([payoffs[chunk] for chunk in cells])
 
 
 def joint_rounds(spec, alice, bob, rounds, seed) -> list[tuple[float, float, float]]:
@@ -119,11 +122,48 @@ class TestMantissaLimit:
 
     def test_a_draw_equal_to_its_threshold(self):
         # ``uniform < p`` is strict: draws equal to their probabilities are
-        # all no (cell 0), and draws equal to all three edges give both
-        # players compound index 3 (cell 15)
+        # all no, and draws equal to all three edges give compound index 3;
+        # either way both players play 3-4 (cell 15)
         u = _uniform_block(5, 4).tolist()
-        assert next(_round_cells(5, 1, [u], _product_cells)).tolist() == [0]
+        assert next(_round_cells(5, 1, [u], _product_cells)).tolist() == [15]
         assert next(_round_cells(5, 1, [u[:2]] * 3, _compound_cells)).tolist() == [15]
+
+
+class TestOutcomeCells:
+    """Cell 4*i + j is Alice's compound strategy i against Bob's j."""
+
+    @pytest.mark.parametrize("i", range(4))
+    @pytest.mark.parametrize("j", range(4))
+    def test_certain_draws_land_in_their_cell(self, i, j):
+        # compound index i = 2 * odd no + even no; yes-probabilities in draw order
+        yes = [float(k < 2) for k in (i, 2 * (i % 2), j, 2 * (j % 2))]
+        cells = next(_round_cells(7, 100, [yes], _product_cells))
+        assert cells.tolist() == [4 * i + j] * 100
+
+    @pytest.mark.parametrize("alpha, i", [(0.0, 0), (math.pi / 2, 3)])
+    @pytest.mark.parametrize("beta, j", [(0.0, 0), (math.pi / 2, 3)])
+    def test_certain_play_lands_in_its_cell(self, alpha, i, beta, j):
+        # frame tilt 0: angle 0 plays 1-2 and angle pi/2 plays 3-4; there the
+        # yes-probability is cos(pi/2)**2 = 3.7e-33, yes only on mantissa 0
+        spec = make_spec(1.0, 2.0, 3.0, 4.0)
+        p = probabilities_from_angle(alpha, spec.alice_frame)
+        q = probabilities_from_angle(beta, spec.bob_frame)
+        assert all(min(v, 1.0 - v) < 1e-32 for v in (p.p1, p.p2, q.p1, q.p2))
+        cells = np.concatenate(list(_product_rounds(spec, alpha, beta, 100, 7)))
+        assert cells.tolist() == [4 * i + j] * 100
+        entry = classical_matrix(spec.coefficients).entries[i, j]
+        assert simulate(spec, alpha, beta, 100, 7).empirical_mean == entry
+
+    @pytest.mark.parametrize("i", range(4))
+    @pytest.mark.parametrize("j", range(4))
+    def test_certain_joints_land_in_their_cell(self, i, j):
+        alice, bob = (JointDistribution(*np.eye(4)[k]) for k in (i, j))
+        edges = list(zip(*(np.cumsum(d.as_vector())[:3].tolist() for d in (alice, bob))))
+        cells = next(_round_cells(3, 100, edges, _compound_cells))
+        assert cells.tolist() == [4 * i + j] * 100
+        spec = make_spec(1.0, 2.0, 3.0, 4.0)
+        entry = classical_matrix(spec.coefficients).entries[i, j]
+        assert simulate_joint(spec, alice, bob, 100, 3).empirical_mean == entry
 
 
 class TestPlayRound:

@@ -18,9 +18,15 @@ from quantumdesks import (
     marginals,
     probabilities_from_angle,
     scalar_payoff,
+    desk_payoff,
     swapped_labels,
 )
+from quantumdesks.classical import desk_table
 from conftest import random_spec
+
+#: stakes at the edges of the float range the CLI admits
+EDGE_STAKES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -2.5,
+               1e150, -1e150)
 
 
 def coefficient_table(c: PayoffCoefficients) -> np.ndarray:
@@ -44,6 +50,26 @@ class TestClassicalMatrix:
             c = PayoffCoefficients(*rng.uniform(-3, 3, 4))
             np.testing.assert_array_equal(classical_matrix(c).entries,
                                           coefficient_table(c))
+
+    @pytest.mark.parametrize("shift", range(4))
+    def test_is_the_desk_table_summed_bit_for_bit(self, shift):
+        rng = np.random.default_rng(shift)
+        for _ in range(200):
+            c = PayoffCoefficients(*rng.choice(EDGE_STAKES, 4))
+            odd, even = desk_table(c)
+            assert (odd + even).reshape(4, 4).tobytes() == classical_matrix(c).entries.tobytes()
+
+    def test_desk_table_cells_are_desk_payoffs(self):
+        # cell 4*i + j is Alice's compound strategy i against Bob's j
+        actions = [tuple(int(a) for a in label.split("-")) for label in COMPOUND_STRATEGIES]
+        for c in (PayoffCoefficients(1.0, 2.0, 3.0, 4.0),
+                  PayoffCoefficients(-0.0, 5e-324, -1e150, 0.0)):
+            odd, even = desk_table(c)
+            for i, (a_odd, a_even) in enumerate(actions):
+                for j, (b_odd, b_even) in enumerate(actions):
+                    want = desk_payoff(a_odd, a_even, b_odd, b_even, c)
+                    got = (odd[4 * i + j], even[4 * i + j])
+                    assert np.array(got).tobytes() == np.array(want).tobytes()
 
     def test_double_score_corner(self):
         c = PayoffCoefficients(1.0, 2.0, 3.0, 4.0)

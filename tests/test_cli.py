@@ -243,9 +243,6 @@ class TestEquilibrium:
         assert doc["flags"] == []
         assert doc["max_min"] == pytest.approx(doc["min_max"], abs=1e-12)
 
-    def test_tiny_grid_exits_2(self, capsys, spec_file):
-        assert main(["equilibrium", spec_file(GENERIC), "--grid-n", "4"]) == 2
-
     def test_json_round_trip_is_byte_identical(self, capsys, spec_file):
         main(["equilibrium", spec_file(DECOUPLED)])
         out = capsys.readouterr().out

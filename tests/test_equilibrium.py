@@ -24,8 +24,8 @@ from quantumdesks.equilibrium import (
     _TIE_RTOL,
     _cached_grid_rows,
     _security_level,
-    _solve_by_support_enumeration,
 )
+from quantumdesks.classical import _solve_by_support_enumeration
 from conftest import dense_security_level, make_spec, random_spec, scale_stakes
 
 DECOUPLED = make_spec(1, 1, 1, 1)  # theta = tau = 0: two independent desk games

@@ -37,8 +37,9 @@ from quantumdesks import (
 )
 from quantumdesks import casino, serialize
 from quantumdesks.quantum import _kron, angle_gap
+from quantumdesks.classical import _solve_by_support_enumeration
 from quantumdesks.equilibrium import (FLAG_NO_SADDLE, _TIE_RTOL, _angle_rows, _grid_rows,
-                                      _security_level, _solve_by_support_enumeration)
+                                      _security_level)
 from conftest import (chained_rounds, dense_security_level, exact_statistics,
                       make_spec, scale_stakes)
 
@@ -225,6 +226,16 @@ def test_verify_saddle_matches_payoff_surface_on_its_grid(spec, seed):
     worst_bob = min(payoff_surface(spec, result.alpha_star, b) for b in GRID)
     want = max(0.0, best_alice - result.value, result.value - worst_bob)
     assert abs(verify_saddle(spec, result, GRID_N) - want) <= 1e-12 * mass(spec)
+
+
+@PROPERTY
+@given(specs, scales, seeds, st.sampled_from([8, 64, 256]))
+def test_exact_certificate_dominates_the_grid_one(spec, scale, seed, n):
+    # max_min and min_max are the best deviations from the reported profile,
+    # so deviations to grid angles can only fall short of them
+    spec = scale_stakes(spec, scale)
+    got = refine_saddle(spec, seed)
+    assert got.certificate >= verify_saddle(spec, got, n) - 1e-12 * mass(spec)
 
 
 @PROPERTY
