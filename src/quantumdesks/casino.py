@@ -79,14 +79,6 @@ def rng_uniform(state: int) -> tuple[float, int]:
     return (rng_output(state) >> 11) * 2.0 ** -53, state
 
 
-def _uniform_block(seed: int, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of the stream seeded at ``seed``; the
-    values equal ``count`` successive rng_uniform calls exactly."""
-    words = np.empty(count, dtype=np.uint64)
-    _mantissas(_stream_offsets(count), seed, words, np.empty_like(words))
-    return words * 2.0 ** -53
-
-
 def _stream_offsets(count: int) -> np.ndarray:
     """Draw k's state minus the seed, k * gamma mod 2**64, for k = 1..count."""
     offsets = np.arange(1, count + 1, dtype=np.uint64)

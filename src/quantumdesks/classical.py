@@ -11,15 +11,12 @@ the row-major index into the matrix.  ``desk_table`` gives Alice's odd-
 and even-desk payoff in each cell; the matrix is their sum, and the
 simulation reads the same table.  The compound game is the odd-desk 2x2
 game plus the even-desk 2x2 game, so ``solve_classical`` solves the two
-desk games in closed form and keeps support enumeration for any 4x4
-matrix without that structure.
+desk games in closed form; it accepts only matrices with that structure.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -69,6 +66,8 @@ class ClassicalMatrix:
         m = np.array(self.entries, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("classical matrix must be 4x4")
+        if not np.isfinite(m).all():
+            raise ValueError("classical matrix entries must be finite")
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
 
@@ -166,33 +165,25 @@ class ClassicalSolution:
 
 
 def solve_classical(m: ClassicalMatrix) -> ClassicalSolution:
-    """Value and optimal mixed strategies of the 4x4 zero-sum matrix game.
+    """Value and optimal mixed strategies of the compound 4x4 zero-sum game.
 
     Compound strategy i plays odd-desk action a_i = i // 2 and even-desk
-    action b_i = i % 2.  When m[i, j] = O[a_i, a_j] + E[b_i, b_j] within
-    1e-12 * (1 + max|m|) for 2x2 desk games O and E, as every
-    ``classical_matrix`` is, each desk game is solved in closed form: the
-    value is v_O + v_E, and each player's strategy is the product joint of
-    their two optimal desk marginals.  That result is checked against the
-    optimality inequalities at 1e-9 * (1 + max|m|).  Any other matrix, or a
-    result that fails the check, goes to support enumeration.
+    action b_i = i % 2.  The matrix must be a desk sum, m[i, j] =
+    O[a_i, a_j] + E[b_i, b_j] within 1e-12 * (1 + max|m|) for 2x2 desk
+    games O and E, as every ``classical_matrix`` is; any other matrix
+    raises ValueError.  Each desk game is solved in closed form: the value
+    is v_O + v_E, and each player's strategy is the product joint of their
+    two optimal desk marginals.  The result is checked against the
+    optimality inequalities at 1e-9 * (1 + max|m|); a failure is a bug and
+    raises ArithmeticError.
 
-    ``degenerate`` means some player has more than one optimal joint.  For a
-    desk sum that holds when a desk game has more than one optimal marginal
-    for either player, or when a player mixes on both desks, because every
-    joint with the optimal marginals is then optimal; desk-game entries
-    within 1e-9 * (1 + max|m|) count as tied.  For enumeration it holds when
-    verified support pairs realize more than one distinct support.
+    ``degenerate`` means some player has more than one optimal joint.  That
+    holds when a desk game has more than one optimal marginal for either
+    player, or when a player mixes on both desks, because every joint with
+    the optimal marginals is then optimal; desk-game entries within
+    1e-9 * (1 + max|m|) count as tied.
     """
-    M = np.asarray(m.entries, dtype=float)
-    solution = _solve_desk_sum(M)
-    if solution is None:
-        solution = _solve_by_support_enumeration(m)
-    return solution
-
-
-def _solve_desk_sum(M: np.ndarray) -> ClassicalSolution | None:
-    """The closed-form desk solution; None unless ``M`` is a desk sum it solves."""
+    M = m.entries
     scale = 1.0 + float(np.abs(M).max())
     check_tol = _CHECK_RTOL * scale
     odd = M[::2, ::2]
@@ -201,7 +192,7 @@ def _solve_desk_sum(M: np.ndarray) -> ClassicalSolution | None:
     misfit = float(np.abs(M.reshape(2, 2, 2, 2)
                           - (odd[:, None, :, None] + even[None, :, None, :])).max())
     if not misfit <= _DESK_RTOL * scale:
-        return None
+        raise ValueError("classical matrix is not the sum of two 2x2 desk games")
     v_odd, p_odd, q_odd, loose_odd = _solve_2x2(odd.tolist(), check_tol)
     v_even, p_even, q_even, loose_even = _solve_2x2(even.tolist(), check_tol)
     value = v_odd + v_even
@@ -210,7 +201,7 @@ def _solve_desk_sum(M: np.ndarray) -> ClassicalSolution | None:
     y = independent_joint(ProbabilityQuadruple(q_odd, q_even, 1.0 - q_odd,
                                                1.0 - q_even)).as_vector()
     if not ((x @ M).min() >= value - check_tol and (M @ y).max() <= value + check_tol):
-        return None
+        raise ArithmeticError("the desk solution fails its optimality check")
     mixes_both = (0.0 < p_odd < 1.0 and 0.0 < p_even < 1.0) or \
         (0.0 < q_odd < 1.0 and 0.0 < q_even < 1.0)
     return ClassicalSolution(x, y, value,
@@ -254,97 +245,3 @@ def _rows_have_many_optima(g: list, v: float, eq: float) -> bool:
             if max(other) > v + eq or min(other) >= v - eq:
                 return True
     return False
-
-
-def _solve_by_support_enumeration(m: ClassicalMatrix) -> ClassicalSolution:
-    """Solve any 4x4 matrix game by enumerating its 225 support pairs.
-
-    Pairs run in a fixed (size, lexicographic) order; for each pair the
-    payoff-equalization system is solved as a small linear system and the
-    candidate is kept only if it passes the optimality inequalities.  Of
-    the verified pairs, the one with the smallest duality gap
-    ``max(M y) - min(x M)`` is returned, the first in that order on ties,
-    so a pair that verifies only within the tolerance gives way to an
-    exact one.  The solution is flagged degenerate
-    when verified pairs realize more than one distinct support (the same
-    strategies re-verifying under padded supersets do not count).
-    """
-    M = np.asarray(m.entries, dtype=float)
-    check_tol = _CHECK_RTOL * (1.0 + float(np.max(np.abs(M))))
-    supports = [s for k in range(1, 5) for s in combinations(range(4), k)]
-
-    best: tuple[np.ndarray, np.ndarray, float] | None = None
-    best_gap = math.inf
-    realized: set[tuple] = set()
-    for rows in supports:
-        for cols in supports:
-            cand = _support_pair_solution(M, rows, cols, check_tol)
-            if cand is None:
-                continue
-            x, y, _ = cand
-            realized.add((tuple(x > 1e-8), tuple(y > 1e-8)))
-            gap = float(np.max(M @ y) - np.min(x @ M))
-            if best is None or gap < best_gap:
-                best, best_gap = cand, gap
-    if best is None:  # cannot happen: some square support is a game kernel
-        raise ArithmeticError("no support pair solved the matrix game")
-    x, y, value = best
-    return ClassicalSolution(x, y, value, degenerate=len(realized) > 1)
-
-
-def _support_pair_solution(M, rows, cols, tol):
-    """Equalize payoffs on a support pair; None unless optimal for both."""
-    x = _equalizing_weights(M.T, cols, rows, tol)
-    if x is None:
-        return None
-    x_full, v = x
-    if np.min(x_full @ M) < v - tol:
-        return None
-    y = _equalizing_weights(M, rows, cols, tol)
-    if y is None:
-        return None
-    y_full, w = y
-    if np.max(M @ y_full) > w + tol:
-        return None
-    if abs(v - w) > tol:
-        return None
-    return x_full, y_full, 0.5 * (v + w)
-
-
-def _equalizing_weights(payoffs, eq_idx, var_idx, tol):
-    """Weights on var_idx making payoffs[j] @ weights equal for j in eq_idx.
-
-    Solves the bordered linear system (one equation per equalized index
-    plus the normalization row); returns None when the system is
-    inconsistent or the weights dip below -tol.  A solve that is not finite,
-    as on stakes of subnormal size, counts as singular, and a solution that
-    is not finite is rejected.
-    """
-    k = len(var_idx)
-    rows = len(eq_idx) + 1
-    A = np.zeros((rows, k + 1))
-    for r, j in enumerate(eq_idx):
-        A[r, :k] = payoffs[j, list(var_idx)]
-        A[r, k] = -1.0
-    A[rows - 1, :k] = 1.0
-    rhs = np.zeros(rows)
-    rhs[rows - 1] = 1.0
-
-    sol = None
-    if rows == k + 1:
-        try:
-            sol = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError:
-            sol = None
-    if sol is None or not np.isfinite(sol).all():
-        sol, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-    if not (np.isfinite(sol).all() and np.max(np.abs(A @ sol - rhs)) <= tol):
-        return None
-
-    weights = np.zeros(payoffs.shape[1])
-    weights[list(var_idx)] = sol[:k]
-    if np.min(weights) < -tol:
-        return None
-    weights = np.clip(weights, 0.0, None)
-    weights /= weights.sum()
-    return weights, float(sol[k])

@@ -27,9 +27,8 @@ from quantumdesks.casino import (
     _product_cells,
     _product_rounds,
     _round_cells,
-    _uniform_block,
 )
-from conftest import chained_rounds, exact_statistics, make_spec
+from conftest import chained_rounds, exact_statistics, make_spec, uniform_block
 
 MASK64 = (1 << 64) - 1
 
@@ -87,7 +86,7 @@ class TestGenerator:
             assert got == reference_uniforms(seed, 200)
 
     def test_vectorized_block_matches_sequential(self):
-        np.testing.assert_array_equal(_uniform_block(987654321, 1000),
+        np.testing.assert_array_equal(uniform_block(987654321, 1000),
                                       np.array(reference_uniforms(987654321, 1000)))
 
     def test_frozen_first_uniforms(self):
@@ -103,7 +102,7 @@ class TestGenerator:
         assert u == 0.8833108082136426
 
     def test_uniforms_in_unit_interval(self):
-        u = _uniform_block(42, 100000)
+        u = uniform_block(42, 100000)
         assert u.min() >= 0.0 and u.max() < 1.0
 
 
@@ -124,7 +123,7 @@ class TestMantissaLimit:
         # ``uniform < p`` is strict: draws equal to their probabilities are
         # all no, and draws equal to all three edges give compound index 3;
         # either way both players play 3-4 (cell 15)
-        u = _uniform_block(5, 4).tolist()
+        u = uniform_block(5, 4).tolist()
         assert next(_round_cells(5, 1, [u], _product_cells)).tolist() == [15]
         assert next(_round_cells(5, 1, [u[:2]] * 3, _compound_cells)).tolist() == [15]
 

@@ -19,10 +19,12 @@ from quantumdesks import (
     probabilities_from_angle,
     scalar_payoff,
     desk_payoff,
+    solve_classical,
     swapped_labels,
 )
+from quantumdesks import classical
 from quantumdesks.classical import desk_table
-from conftest import random_spec
+from conftest import random_spec, solve_by_support_enumeration
 
 #: stakes at the edges of the float range the CLI admits
 EDGE_STAKES = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, -2.5,
@@ -105,6 +107,108 @@ class TestClassicalMatrix:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             ClassicalMatrix(np.zeros((3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        entries = np.zeros((4, 4))
+        entries[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalMatrix(entries)
+
+
+def random_desk_sum(rng) -> ClassicalMatrix:
+    return classical_matrix(PayoffCoefficients(*rng.uniform(-5, 5, 4)))
+
+
+def random_matrix(rng) -> ClassicalMatrix:
+    return ClassicalMatrix(rng.uniform(-5, 5, (4, 4)))
+
+
+#: the production solver on the matrices it accepts, and the tests' support
+#: enumeration reference on general matrices
+SOLVERS = pytest.mark.parametrize(
+    "solve, draw", [(solve_classical, random_desk_sum),
+                    (solve_by_support_enumeration, random_matrix)],
+    ids=["desk_closed_form", "support_enumeration"])
+
+
+class TestSolveClassical:
+    def test_unit_coefficients(self):
+        m = classical_matrix(PayoffCoefficients(1, 1, 1, 1))
+        got = solve_classical(m)
+        assert got.value == pytest.approx(1.0, abs=1e-10)
+        # both players mix on both desks, so every joint with those marginals is optimal
+        assert got.degenerate
+        # uniform mixing guarantees the value against every pure reply
+        uniform = np.full(4, 0.25)
+        np.testing.assert_allclose(uniform @ m.entries, np.full(4, 1.0), atol=1e-12)
+
+    def test_zero_matrix(self):
+        got = solve_classical(ClassicalMatrix(np.zeros((4, 4))))
+        assert got.value == pytest.approx(0.0, abs=1e-12)
+        assert got.degenerate
+
+    @SOLVERS
+    def test_value_within_entry_bounds(self, rng, solve, draw):
+        for _ in range(100):
+            m = draw(rng)
+            got = solve(m)
+            assert m.entries.min() - 1e-9 <= got.value <= m.entries.max() + 1e-9
+
+    @SOLVERS
+    def test_strategies_guarantee_the_value(self, rng, solve, draw):
+        for _ in range(100):
+            m = draw(rng)
+            got = solve(m)
+            assert (got.alice_mixed @ m.entries).min() >= got.value - 1e-7
+            assert (m.entries @ got.bob_mixed).max() <= got.value + 1e-7
+            assert got.alice_mixed.sum() == pytest.approx(1.0, abs=1e-10)
+            assert got.bob_mixed.sum() == pytest.approx(1.0, abs=1e-10)
+            assert got.alice_mixed.min() >= 0.0
+            assert got.bob_mixed.min() >= 0.0
+
+    def test_pure_saddle_matrix(self):
+        m = ClassicalMatrix(np.array([
+            [3.0, 4.0, 5.0, 6.0],
+            [2.0, 3.0, 4.0, 5.0],
+            [1.0, 2.0, 3.0, 4.0],
+            [0.0, 1.0, 2.0, 3.0],
+        ]))
+        got = solve_classical(m)
+        assert got.value == pytest.approx(3.0, abs=1e-10)
+        np.testing.assert_allclose(got.alice_mixed, [1, 0, 0, 0], atol=1e-9)
+        np.testing.assert_allclose(got.bob_mixed, [1, 0, 0, 0], atol=1e-9)
+        assert not got.degenerate
+
+    def test_desk_game_gives_product_joints(self):
+        # odd desk [[0, 3], [1, 0]] and even desk [[0, 4], [2, 0]] both mix
+        got = solve_classical(classical_matrix(PayoffCoefficients(1, 2, 3, 4)))
+        assert got.value == pytest.approx(0.75 + 4 / 3, abs=1e-15)
+        np.testing.assert_allclose(got.alice_mixed, [1 / 12, 2 / 12, 3 / 12, 6 / 12],
+                                   atol=1e-15)
+        np.testing.assert_allclose(got.bob_mixed, [6 / 12, 3 / 12, 2 / 12, 1 / 12],
+                                   atol=1e-15)
+
+    def test_non_unique_desk_marginal_is_degenerate(self):
+        # the odd desk [[0, 1], [0, 0]] leaves Alice free to mix on it
+        assert solve_classical(classical_matrix(PayoffCoefficients(0, 1, 1, 0))).degenerate
+
+    def test_rejects_a_matrix_that_is_not_a_desk_sum(self, rng):
+        for m in [ClassicalMatrix(np.eye(4)), *(random_matrix(rng) for _ in range(5))]:
+            with pytest.raises(ValueError, match="desk games"):
+                solve_classical(m)
+
+    def test_a_desk_solution_that_fails_its_check_raises(self, monkeypatch):
+        solve_2x2 = classical._solve_2x2
+
+        def wrong_weight(g, eq):
+            v, p, q, loose = solve_2x2(g, eq)
+            return v, 1.0 - p, q, loose
+
+        monkeypatch.setattr(classical, "_solve_2x2", wrong_weight)
+        # Alice's odd-desk weight 1/4 becomes 3/4, which Bob can exploit
+        with pytest.raises(ArithmeticError):
+            solve_classical(classical_matrix(PayoffCoefficients(1, 2, 3, 4)))
 
 
 class TestMarginals:

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from quantumdesks import (
-    ClassicalMatrix,
-    PayoffCoefficients,
     StateVector,
     build_payoff_operator,
     classical_matrix,
@@ -25,7 +23,6 @@ from quantumdesks.equilibrium import (
     _cached_grid_rows,
     _security_level,
 )
-from quantumdesks.classical import _solve_by_support_enumeration
 from conftest import dense_security_level, make_spec, random_spec, scale_stakes
 
 DECOUPLED = make_spec(1, 1, 1, 1)  # theta = tau = 0: two independent desk games
@@ -265,75 +262,6 @@ class TestVerifySaddle:
         with pytest.raises(ValueError, match="grid resolution must be at least 8"):
             verify_saddle(DECOUPLED, got, n)
         assert _cached_grid_rows.cache_info() == cached
-
-
-class TestSolveClassical:
-    def test_unit_coefficients(self):
-        m = classical_matrix(PayoffCoefficients(1, 1, 1, 1))
-        got = solve_classical(m)
-        assert got.value == pytest.approx(1.0, abs=1e-10)
-        # both players mix on both desks, so every joint with those marginals is optimal
-        assert got.degenerate
-        # uniform mixing guarantees the value against every pure reply
-        uniform = np.full(4, 0.25)
-        np.testing.assert_allclose(uniform @ m.entries, np.full(4, 1.0), atol=1e-12)
-
-    def test_zero_matrix(self):
-        got = solve_classical(ClassicalMatrix(np.zeros((4, 4))))
-        assert got.value == pytest.approx(0.0, abs=1e-12)
-        assert got.degenerate
-
-    def test_value_within_entry_bounds(self, rng):
-        for _ in range(100):
-            m = ClassicalMatrix(rng.uniform(-5, 5, (4, 4)))
-            got = solve_classical(m)
-            assert m.entries.min() - 1e-9 <= got.value <= m.entries.max() + 1e-9
-
-    def test_strategies_guarantee_the_value(self, rng):
-        for _ in range(100):
-            m = ClassicalMatrix(rng.uniform(-5, 5, (4, 4)))
-            got = solve_classical(m)
-            assert (got.alice_mixed @ m.entries).min() >= got.value - 1e-7
-            assert (m.entries @ got.bob_mixed).max() <= got.value + 1e-7
-            assert got.alice_mixed.sum() == pytest.approx(1.0, abs=1e-10)
-            assert got.bob_mixed.sum() == pytest.approx(1.0, abs=1e-10)
-            assert got.alice_mixed.min() >= 0.0
-            assert got.bob_mixed.min() >= 0.0
-
-    def test_pure_saddle_matrix(self):
-        m = ClassicalMatrix(np.array([
-            [3.0, 4.0, 5.0, 6.0],
-            [2.0, 3.0, 4.0, 5.0],
-            [1.0, 2.0, 3.0, 4.0],
-            [0.0, 1.0, 2.0, 3.0],
-        ]))
-        got = solve_classical(m)
-        assert got.value == pytest.approx(3.0, abs=1e-10)
-        np.testing.assert_allclose(got.alice_mixed, [1, 0, 0, 0], atol=1e-9)
-        np.testing.assert_allclose(got.bob_mixed, [1, 0, 0, 0], atol=1e-9)
-        assert not got.degenerate
-
-    def test_desk_game_gives_product_joints(self):
-        # odd desk [[0, 3], [1, 0]] and even desk [[0, 4], [2, 0]] both mix
-        got = solve_classical(classical_matrix(PayoffCoefficients(1, 2, 3, 4)))
-        assert got.value == pytest.approx(0.75 + 4 / 3, abs=1e-15)
-        np.testing.assert_allclose(got.alice_mixed, [1 / 12, 2 / 12, 3 / 12, 6 / 12],
-                                   atol=1e-15)
-        np.testing.assert_allclose(got.bob_mixed, [6 / 12, 3 / 12, 2 / 12, 1 / 12],
-                                   atol=1e-15)
-
-    def test_non_unique_desk_marginal_is_degenerate(self):
-        # the odd desk [[0, 1], [0, 0]] leaves Alice free to mix on it
-        assert solve_classical(classical_matrix(PayoffCoefficients(0, 1, 1, 0))).degenerate
-
-    def test_general_matrix_uses_support_enumeration(self, rng):
-        for _ in range(5):
-            m = ClassicalMatrix(rng.uniform(-5, 5, (4, 4)))
-            got, want = solve_classical(m), _solve_by_support_enumeration(m)
-            assert got.value == want.value
-            np.testing.assert_array_equal(got.alice_mixed, want.alice_mixed)
-            np.testing.assert_array_equal(got.bob_mixed, want.bob_mixed)
-            assert got.degenerate == want.degenerate
 
 
 class TestClassicalQuantumComparison:

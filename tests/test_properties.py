@@ -37,11 +37,10 @@ from quantumdesks import (
 )
 from quantumdesks import casino, serialize
 from quantumdesks.quantum import _kron, angle_gap
-from quantumdesks.classical import _solve_by_support_enumeration
 from quantumdesks.equilibrium import (FLAG_NO_SADDLE, _TIE_RTOL, _angle_rows, _grid_rows,
                                       _security_level)
 from conftest import (chained_rounds, dense_security_level, exact_statistics,
-                      make_spec, scale_stakes)
+                      make_spec, scale_stakes, solve_by_support_enumeration)
 
 # Derandomized, so every run checks the same examples.
 PROPERTY = settings(deadline=None, derandomize=True, database=None, max_examples=100)
@@ -186,7 +185,7 @@ def test_desk_split_matches_support_enumeration(c, swapped):
     coefficients = PayoffCoefficients(*c)
     m = classical_matrix(swapped_labels(coefficients) if swapped else coefficients)
     got = solve_classical(m)
-    want = _solve_by_support_enumeration(m)
+    want = solve_by_support_enumeration(m)
     assert abs(got.value - want.value) <= 1e-12 * (1.0 + sum(abs(v) for v in c))
     tol = 1e-9 * (1.0 + np.abs(m.entries).max())
     assert (got.alice_mixed @ m.entries).min() >= got.value - tol
