@@ -49,7 +49,7 @@ from .classical import (
 )
 from .equilibrium import payoff_surface
 from .geometry import probabilities_from_angle
-from .quantum import GameSpec
+from .game import GameSpec
 
 _MASK64 = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -280,7 +280,9 @@ def _report(counts, odd, even, analytic, rounds, seed):
     once, so the report does not depend on the chunk size or on any
     summation order.
     """
-    from fractions import Fraction  # here, so commands that never simulate skip its import
+    # imported here, once the chunk buffers are freed, so that it does not
+    # add to a simulation's peak RSS
+    from fractions import Fraction
 
     played = [(n, Fraction(o), Fraction(e), Fraction(t))
               for n, o, e, t in zip(counts, odd.tolist(), even.tolist(),

@@ -12,15 +12,20 @@ and even-desk payoff in each cell; the matrix is their sum, and the
 simulation reads the same table.  The compound game is the odd-desk 2x2
 game plus the even-desk 2x2 game, so ``solve_classical`` solves the two
 desk games in closed form; it accepts only matrices with that structure.
+
+The solver works on Python floats.  ``solve_classical`` hands the rows
+of a ClassicalMatrix to ``_solve_desk_sum``, and the ``classical``
+command hands it the rows of ``_compound_rows`` directly, so the command
+never imports numpy.  ClassicalMatrix, ClassicalSolution, ``desk_table``
+and ``JointDistribution.as_vector`` keep their numpy arrays; each
+imports numpy where it builds one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .quantum import PayoffCoefficients, ProbabilityQuadruple
+from .game import PayoffCoefficients, ProbabilityQuadruple
 
 #: row/column order of the compound-strategy matrix, frozen for all I/O
 COMPOUND_STRATEGIES = ("1-2", "1-4", "3-2", "3-4")
@@ -53,6 +58,8 @@ class JointDistribution:
         return (self.p12, self.p14, self.p32, self.p34)
 
     def as_vector(self) -> np.ndarray:
+        import numpy as np
+
         return np.array(self.as_tuple())
 
 
@@ -63,6 +70,8 @@ class ClassicalMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         m = np.array(self.entries, dtype=float)
         if m.shape != (4, 4):
             raise ValueError("classical matrix must be 4x4")
@@ -87,23 +96,36 @@ def desk_payoff(alice_odd: int, alice_even: int, bob_odd: int, bob_even: int,
     return odd, even
 
 
+def _desk_cells(c: PayoffCoefficients) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """``desk_table`` as two tuples of Python floats."""
+    actions = tuple(zip(_ODD_ACTION, _EVEN_ACTION))
+    odd, even = zip(*[desk_payoff(a_odd, a_even, b_odd, b_even, c)
+                      for a_odd, a_even in actions for b_odd, b_even in actions])
+    return odd, even
+
+
 def desk_table(c: PayoffCoefficients) -> tuple[np.ndarray, np.ndarray]:
     """Alice's (odd, even) desk payoffs in the 16 outcome cells.
 
     Entry 4*i + j of each array is ``desk_payoff`` for her compound
     strategy i against Bob's j.
     """
-    actions = tuple(zip(_ODD_ACTION, _EVEN_ACTION))
-    odd, even = zip(*[desk_payoff(a_odd, a_even, b_odd, b_even, c)
-                      for a_odd, a_even in actions for b_odd, b_even in actions])
+    import numpy as np
+
+    odd, even = _desk_cells(c)
     return np.array(odd), np.array(even)
 
 
+def _compound_rows(c: PayoffCoefficients) -> list[list[float]]:
+    """The rows of ``classical_matrix(c)`` as Python floats: the two desk
+    tables added, cell 4*i + j at row i and column j."""
+    cells = [odd + even for odd, even in zip(*_desk_cells(c))]
+    return [cells[i:i + 4] for i in range(0, 16, 4)]
+
+
 def classical_matrix(c: PayoffCoefficients) -> ClassicalMatrix:
-    """The 4x4 compound-strategy payoff matrix for the given stakes: the
-    two desk tables added, cell 4*i + j at row i and column j."""
-    odd, even = desk_table(c)
-    return ClassicalMatrix((odd + even).reshape(4, 4))
+    """The 4x4 compound-strategy payoff matrix for the given stakes."""
+    return ClassicalMatrix(_compound_rows(c))
 
 
 def swapped_labels(c: PayoffCoefficients) -> PayoffCoefficients:
@@ -158,6 +180,8 @@ class ClassicalSolution:
     degenerate: bool = False
 
     def __post_init__(self):
+        import numpy as np
+
         for name in ("alice_mixed", "bob_mixed"):
             v = np.array(getattr(self, name), dtype=float)
             v.setflags(write=False)
@@ -183,29 +207,36 @@ def solve_classical(m: ClassicalMatrix) -> ClassicalSolution:
     the optimal marginals is then optimal; desk-game entries within
     1e-9 * (1 + max|m|) count as tied.
     """
-    M = m.entries
-    scale = 1.0 + float(np.abs(M).max())
+    return ClassicalSolution(*_solve_desk_sum(m.entries.tolist()))
+
+
+def _solve_desk_sum(M: list[list[float]]) -> tuple[tuple, tuple, float, bool]:
+    """``solve_classical`` on the rows of a finite 4x4 matrix as Python
+    floats: Alice's and Bob's optimal joints as tuples, the value and the
+    ``degenerate`` flag."""
+    scale = 1.0 + max(abs(v) for row in M for v in row)
     check_tol = _CHECK_RTOL * scale
-    odd = M[::2, ::2]
-    even = M[:2, :2] - M[0, 0]
-    # M.reshape(2, 2, 2, 2)[a, b, a', b'] is M[2a + b, 2a' + b']
-    misfit = float(np.abs(M.reshape(2, 2, 2, 2)
-                          - (odd[:, None, :, None] + even[None, :, None, :])).max())
+    odd = [[M[0][0], M[0][2]], [M[2][0], M[2][2]]]
+    even = [[M[i][j] - M[0][0] for j in (0, 1)] for i in (0, 1)]
+    # row 2a + b plays odd-desk action a and even-desk action b
+    misfit = max(abs(M[2 * a + b][2 * c + d] - (odd[a][c] + even[b][d]))
+                 for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1))
     if not misfit <= _DESK_RTOL * scale:
         raise ValueError("classical matrix is not the sum of two 2x2 desk games")
-    v_odd, p_odd, q_odd, loose_odd = _solve_2x2(odd.tolist(), check_tol)
-    v_even, p_even, q_even, loose_even = _solve_2x2(even.tolist(), check_tol)
+    v_odd, p_odd, q_odd, loose_odd = _solve_2x2(odd, check_tol)
+    v_even, p_even, q_even, loose_even = _solve_2x2(even, check_tol)
     value = v_odd + v_even
     x = independent_joint(ProbabilityQuadruple(p_odd, p_even, 1.0 - p_odd,
-                                               1.0 - p_even)).as_vector()
+                                               1.0 - p_even)).as_tuple()
     y = independent_joint(ProbabilityQuadruple(q_odd, q_even, 1.0 - q_odd,
-                                               1.0 - q_even)).as_vector()
-    if not ((x @ M).min() >= value - check_tol and (M @ y).max() <= value + check_tol):
+                                               1.0 - q_even)).as_tuple()
+    alice_worst = min(sum(x[i] * M[i][j] for i in range(4)) for j in range(4))
+    bob_worst = max(sum(M[i][j] * y[j] for j in range(4)) for i in range(4))
+    if not (alice_worst >= value - check_tol and bob_worst <= value + check_tol):
         raise ArithmeticError("the desk solution fails its optimality check")
     mixes_both = (0.0 < p_odd < 1.0 and 0.0 < p_even < 1.0) or \
         (0.0 < q_odd < 1.0 and 0.0 < q_even < 1.0)
-    return ClassicalSolution(x, y, value,
-                             degenerate=loose_odd or loose_even or mixes_both)
+    return x, y, value, loose_odd or loose_even or mixes_both
 
 
 def _solve_2x2(g: list, eq: float) -> tuple[float, float, float, bool]:

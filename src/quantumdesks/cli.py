@@ -21,37 +21,38 @@ Angles are radians unless "degrees" is true ("degrees" must be a JSON
 boolean); the phase entries ("lambda", "mu") default to 0.  All floats
 are printed with 17 significant digits so output parses back to the
 exact values.
+
+Each command imports what it needs when it runs, so a process pays only
+for its own command: ``eval``, ``equilibrium`` and ``simulate`` load
+numpy; ``curve`` and ``classical`` do no array maths and never load it.
+The two streamed CSV files, ``curve --out`` and ``simulate --csv``, are
+written a block of rows at a time, each block formatted by one ``%`` on
+a repeated row template, so memory stays flat in ``--samples`` and
+``--rounds``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
 
-import numpy as np
-
 from . import serialize
-from .casino import _product_rounds, simulate
-from .classical import COMPOUND_STRATEGIES, classical_matrix, solve_classical, swapped_labels
-from .equilibrium import FLAG_NO_CONVERGENCE, refine_saddle
-from .geometry import conic_coefficients, curve_points, probabilities_from_angle
-from .quantum import (
-    GameSpec,
-    ObservableFrame,
-    PayoffCoefficients,
-    StateVector,
-    build_payoff_operator,
-    expectation,
-    scalar_payoff,
-)
+from .game import GameSpec, ObservableFrame, PayoffCoefficients, scalar_payoff
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERIC = 3
 EXIT_IO = 4
 EXIT_NO_CONVERGENCE = 5
+
+#: ``curve`` formats and writes this many rows at a time; ``simulate``
+#: writes one chunk of rounds of ``casino`` at a time
+_BLOCK_ROWS = 8192
+_CURVE_ROW = "%.17g,%.17g,%.17g\n"
+_ROUND_ROW = "%d,%s,%.17g\n"
 
 
 class SpecFileError(Exception):
@@ -133,6 +134,9 @@ def _quadruple_dict(p) -> dict:
 
 
 def cmd_eval(args) -> int:
+    from .geometry import probabilities_from_angle
+    from .quantum import StateVector, build_payoff_operator, expectation
+
     spec = load_game_spec(args.spec)
     p = probabilities_from_angle(args.alpha, spec.alice_frame)
     q = probabilities_from_angle(args.beta, spec.bob_frame)
@@ -154,25 +158,27 @@ def cmd_eval(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    from .geometry import _curve_samples, conic_coefficients
+
     spec = load_game_spec(args.spec)
     if args.samples < 2:
         print("error: --samples must be at least 2", file=sys.stderr)
         return EXIT_USAGE
     frame = spec.alice_frame if args.player == "alice" else spec.bob_frame
     conic = conic_coefficients(frame)
-    lines = [
-        "# conic: " + " ".join(
-            f"{name}={serialize.format_float(getattr(conic, name))}"
-            for name in ("a11", "a22", "a12", "b1", "b2", "c0")
-        ) + f" degenerate={str(conic.degenerate).lower()}",
-        "alpha,p1,p2",
-    ]
-    for k, (p1, p2) in enumerate(curve_points(frame, args.samples)):
-        alpha = k * math.pi / args.samples
-        lines.append(",".join(serialize.format_float(v) for v in (alpha, p1, p2)))
+    header = "# conic: " + " ".join(
+        f"{name}={serialize.format_float(getattr(conic, name))}"
+        for name in ("a11", "a22", "a12", "b1", "b2", "c0")
+    ) + f" degenerate={str(conic.degenerate).lower()}\nalpha,p1,p2\n"
+    samples = _curve_samples(frame, args.samples)
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(header)
+            # no sample is -0.0 or non-finite (see _curve_samples), so %.17g
+            # prints what format_float would
+            while block := tuple(itertools.chain.from_iterable(
+                    itertools.islice(samples, _BLOCK_ROWS))):
+                fh.write(_CURVE_ROW * (len(block) // 3) % block)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -180,6 +186,8 @@ def cmd_curve(args) -> int:
 
 
 def cmd_equilibrium(args) -> int:
+    from .equilibrium import FLAG_NO_CONVERGENCE, refine_saddle
+
     spec = load_game_spec(args.spec)
     refined = refine_saddle(spec, tol=args.tol)
     print(serialize.dumps(refined.to_dict()))
@@ -189,30 +197,32 @@ def cmd_equilibrium(args) -> int:
 
 
 def cmd_classical(args) -> int:
+    from .classical import COMPOUND_STRATEGIES, _compound_rows, _solve_desk_sum, swapped_labels
+
     spec = load_game_spec(args.spec)
     coeffs = spec.coefficients
     convention = "default"
     if args.swapped_labels:
         coeffs = swapped_labels(coeffs)
         convention = "swapped"
-    matrix = classical_matrix(coeffs)
-    solution = solve_classical(matrix)
+    matrix = _compound_rows(coeffs)
+    alice_mixed, bob_mixed, value, degenerate = _solve_desk_sum(matrix)
     report = {
         "labels": list(COMPOUND_STRATEGIES),
         "convention": convention,
-        "matrix": [list(row) for row in matrix.entries],
+        "matrix": matrix,
         "solution": {
-            "value": solution.value,
-            "alice_mixed": list(solution.alice_mixed),
-            "bob_mixed": list(solution.bob_mixed),
-            "degenerate": solution.degenerate,
+            "value": value,
+            "alice_mixed": alice_mixed,
+            "bob_mixed": bob_mixed,
+            "degenerate": degenerate,
         },
     }
     print(serialize.dumps(report))
     if args.csv is not None:
         header = "," + ",".join(COMPOUND_STRATEGIES)
         rows = [header]
-        for label, row in zip(COMPOUND_STRATEGIES, matrix.entries):
+        for label, row in zip(COMPOUND_STRATEGIES, matrix):
             rows.append(label + "," + ",".join(serialize.format_float(v) for v in row))
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
@@ -224,6 +234,8 @@ def cmd_classical(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .casino import simulate
+
     spec = load_game_spec(args.spec)
     if args.rounds < 1:
         print("error: --rounds must be at least 1", file=sys.stderr)
@@ -244,22 +256,37 @@ def _write_rounds(fh, spec, args) -> None:
     """Stream ``round,payoff,running_mean`` rows one chunk of rounds at a time.
 
     The running sum carries across chunks by leading each chunk's cumsum
-    with the previous total, so it equals one cumsum over all rounds.
+    with the previous total, so it equals one cumsum over all rounds.  Each
+    chunk's rows are formatted by one ``%`` on a repeated row template.
+    Payoffs print as their ``format_float`` labels; the means are taken
+    as ``means + 0.0``, which turns -0.0 into 0 as ``format_float`` does,
+    and a non-finite mean raises ``format_float``'s ValueError.
     """
+    import numpy as np
+
+    from .casino import _product_rounds
+    from .classical import classical_matrix
+
     cells = _product_rounds(spec, args.alpha, args.beta, args.rounds, args.seed)
     payoffs = classical_matrix(spec.coefficients).entries.ravel()
-    labels = [serialize.format_float(v) for v in payoffs.tolist()]
+    labels = np.array([serialize.format_float(v) for v in payoffs.tolist()], dtype=object)
     fh.write("round,payoff,running_mean\n")
     done, running = 0, None
     for chunk in cells:
+        n = len(chunk)
         pay = payoffs[chunk]
         head = pay if running is None else np.concatenate(([running[-1]], pay))
-        running = np.cumsum(head)[-len(pay):]
-        means = running / np.arange(done + 1, done + len(pay) + 1)
-        fh.write("".join(
-            f"{done + k + 1},{labels[cell]},{serialize.format_float(mean)}\n"
-            for k, (cell, mean) in enumerate(zip(chunk.tolist(), means.tolist()))))
-        done += len(pay)
+        running = np.cumsum(head)[-n:]
+        means = running / np.arange(done + 1, done + n + 1) + 0.0
+        finite = np.isfinite(means)
+        if not finite.all():
+            serialize.format_float(float(means[~finite][0]))  # raises its ValueError
+        fields = [None] * (3 * n)
+        fields[0::3] = range(done + 1, done + n + 1)
+        fields[1::3] = labels[chunk].tolist()
+        fields[2::3] = means.tolist()
+        fh.write(_ROUND_ROW * n % tuple(fields))
+        done += n
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import probabilities_from_angle
-from .quantum import GameSpec, angle_gap, reduce_angle, scalar_payoff
+from .game import GameSpec, angle_gap, reduce_angle, scalar_payoff
 
 FLAG_NO_CONVERGENCE = "no_convergence"
 FLAG_NO_SADDLE = "no_saddle"

@@ -16,9 +16,10 @@ normalized so that a22 = 1.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .quantum import ObservableFrame, ProbabilityQuadruple, angle_gap
+from .game import ObservableFrame, ProbabilityQuadruple, angle_gap
 
 #: default tolerance for curve-membership decisions
 MEMBERSHIP_TOL = 1e-9
@@ -104,13 +105,21 @@ def conic_residual(p1: float, p2: float, frame: ObservableFrame) -> float:
 
 def curve_points(frame: ObservableFrame, n: int) -> list[tuple[float, float]]:
     """Sample n curve points at uniform angles k*pi/n, k = 0..n-1."""
+    return [(p1, p2) for _, p1, p2 in _curve_samples(frame, n)]
+
+
+def _curve_samples(frame: ObservableFrame, n: int) -> Iterator[tuple[float, float, float]]:
+    """``(alpha, p1, p2)`` at alpha = k*pi/n for k = 0..n-1, one sample at a time.
+
+    No value is -0.0 or non-finite: alpha >= 0, p1 is a square and p2 is
+    clamped by ``max(0.0, .)``.
+    """
     if n < 2:
         raise ValueError("need at least two sample points")
-    out = []
     for k in range(n):
-        p = probabilities_from_angle(k * math.pi / n, frame)
-        out.append((p.p1, p.p2))
-    return out
+        alpha = k * math.pi / n
+        p = probabilities_from_angle(alpha, frame)
+        yield alpha, p.p1, p.p2
 
 
 def angles_for_point(

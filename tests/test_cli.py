@@ -1,3 +1,5 @@
+import argparse
+import io
 import json
 import math
 
@@ -5,7 +7,7 @@ import numpy as np
 import pytest
 
 from quantumdesks import casino, serialize
-from quantumdesks.cli import main
+from quantumdesks.cli import _write_rounds, main
 from conftest import chained_rounds, make_spec
 
 DECOUPLED = {"c1": 1.0, "c2": 1.0, "c3": 1.0, "c4": 1.0,
@@ -295,6 +297,13 @@ class TestClassical:
         first_row = [float(v) for v in lines[1].split(",")[1:]]
         assert first_row == doc["matrix"][0]
 
+    def test_unwritable_csv_exits_4_after_the_report(self, capsys, tmp_path, spec_file):
+        code = main(["classical", spec_file(GENERIC), "--csv", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["solution"]["value"] == pytest.approx(25 / 12)
+        assert captured.err.startswith(f"error: cannot write {tmp_path}")
+
 
 class TestSimulate:
     def test_fixed_seed_twice_identical_output(self, capsys, spec_file):
@@ -346,6 +355,36 @@ class TestSimulate:
         assert main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
                      "--rounds", str(rounds), "--seed", "11", "--csv", str(out)]) == 0
         assert out.read_text(encoding="utf-8") == chained_csv(GENERIC, 0.3, 0.9, rounds, 11)
+
+    @pytest.mark.parametrize("rounds", [1, 8193])
+    def test_csv_prints_negative_zero_as_zero(self, capsys, tmp_path, spec_file, rounds):
+        # Alice always plays 1-2 and Bob 3-4, so every round pays c3 + c4 = -0.0
+        doc = {"c1": -0.0, "c2": -0.0, "c3": -0.0, "c4": -0.0,
+               "alice": {"theta": 0.0, "lambda": 0.0}, "bob": {"tau": 0.0, "mu": 0.0}}
+        beta = 1.5707963267948966
+        totals = [t for t, _, _ in chained_rounds(
+            make_spec(-0.0, -0.0, -0.0, -0.0), 0.0, beta, rounds, 0)]
+        assert all(math.copysign(1.0, t) == -1.0 for t in totals)
+        out = tmp_path / "rounds.csv"
+        assert main(["simulate", spec_file(doc), "--alpha", "0", "--beta", repr(beta),
+                     "--rounds", str(rounds), "--csv", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()
+        assert len(rows) == rounds + 1
+        assert [row for k, row in enumerate(rows[1:], 1) if row != f"{k},0,0"] == []
+
+    def test_csv_rejects_a_non_finite_running_mean(self):
+        # every round pays 1.5e308, so the running sum overflows in round 2
+        args = argparse.Namespace(alpha=0.0, beta=math.pi / 2, rounds=2, seed=0)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="non-finite"):
+            _write_rounds(io.StringIO(), make_spec(0.0, 0.0, 1.5e308, 0.0), args)
+
+    def test_unwritable_csv_exits_4_after_the_report(self, capsys, tmp_path, spec_file):
+        code = main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
+                     "--rounds", "100", "--seed", "11", "--csv", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert json.loads(captured.out)["rounds"] == 100
+        assert captured.err.startswith(f"error: cannot write {tmp_path}")
 
     def test_json_round_trip_is_byte_identical(self, capsys, spec_file):
         main(["simulate", spec_file(GENERIC), "--alpha", "0.3",
