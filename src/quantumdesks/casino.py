@@ -30,7 +30,10 @@ directly.  The state advance is a constant increment, so the stream can
 start at any round with one addition; a simulation draws a fixed chunk
 of rounds at a time into buffers it reuses, counts the cells and keeps
 nothing else.  Its memory does not grow with the number of rounds, and
-its statistics follow exactly from the 16 counts.
+its statistics follow exactly from the 16 counts, in integer arithmetic
+(see ``_report``).  ``simulate`` draws ``_CHUNK_ROUNDS`` rounds at a
+time; the CLI's ``simulate --csv`` passes its own smaller block to the
+same generator and builds its report from the same counts.
 """
 
 from __future__ import annotations
@@ -171,18 +174,24 @@ def simulate(
     one final rounding each.  Stakes beyond about 1e150 in magnitude
     overflow the variance and raise OverflowError.
     """
-    cells = _product_rounds(spec, alpha, beta, rounds, seed)
-    return _report(_cell_counts(cells), *desk_table(spec.coefficients),
-                   payoff_surface(spec, alpha, beta), rounds, seed)
+    counts = _cell_counts(_product_rounds(spec, alpha, beta, rounds, seed))
+    return _product_report(spec, alpha, beta, counts, rounds, seed)
 
 
-def _product_rounds(spec, alpha, beta, rounds, seed):
-    """The outcome cells of product-form play, a chunk of rounds at a time."""
+def _product_rounds(spec, alpha, beta, rounds, seed, chunk=None):
+    """The outcome cells of product-form play, ``chunk`` rounds at a time
+    (``_CHUNK_ROUNDS`` by default)."""
     if rounds < 1:
         raise ValueError("need at least one round")
     p = probabilities_from_angle(alpha, spec.alice_frame)
     q = probabilities_from_angle(beta, spec.bob_frame)
-    return _round_cells(seed, rounds, [[p.p1, p.p2, q.p1, q.p2]], _product_cells)
+    return _round_cells(seed, rounds, [[p.p1, p.p2, q.p1, q.p2]], _product_cells, chunk)
+
+
+def _product_report(spec, alpha, beta, counts, rounds, seed):
+    """The report of product-form play from its 16 cell counts."""
+    return _report(counts, *desk_table(spec.coefficients),
+                   payoff_surface(spec, alpha, beta), rounds, seed)
 
 
 def _product_cells(mantissas, limits, cells) -> None:
@@ -201,8 +210,9 @@ def _product_cells(mantissas, limits, cells) -> None:
     np.bitwise_and(packed[:len(cells) // 2], 15, out=cells[1::2])
 
 
-def _round_cells(seed, rounds, thresholds, cells_of):
-    """The ``uint8`` outcome cell of every round, one chunk of rounds at a time.
+def _round_cells(seed, rounds, thresholds, cells_of, chunk=None):
+    """The ``uint8`` outcome cell of every round, ``chunk`` rounds at a time
+    (``_CHUNK_ROUNDS`` by default).
 
     ``thresholds`` holds rows of one probability per draw of a round; each
     becomes the integer limit of its draws (see the module docstring),
@@ -213,7 +223,7 @@ def _round_cells(seed, rounds, thresholds, cells_of):
     reused, so each yielded array is overwritten by the next.
     """
     draws = len(thresholds[0])
-    chunk = min(_CHUNK_ROUNDS, rounds)
+    chunk = min(chunk or _CHUNK_ROUNDS, rounds)
     limits = np.tile(np.array([[_mantissa_limit(p) for p in row] for row in thresholds],
                               dtype=np.uint64), chunk)
     offsets = _stream_offsets(draws * chunk)
@@ -276,28 +286,33 @@ def _cell_counts(cells) -> list[int]:
 def _report(counts, odd, even, analytic, rounds, seed):
     """The report of a run from its cell counts and cell payoffs.
 
-    Sums run over exact rationals and each statistic is rounded to float
-    once, so the report does not depend on the chunk size or on any
-    summation order.
+    Every float is an integer over a power of two, so over the largest
+    denominator ``scale`` among the cell payoffs each sum is an exact
+    integer, and each statistic is one correctly rounded ``int / int``.
+    The report thus does not depend on the chunk size or on any summation
+    order.  An infinite cell payoff, or a statistic beyond the float
+    range, raises OverflowError.
     """
-    # imported here, once the chunk buffers are freed, so that it does not
-    # add to a simulation's peak RSS
-    from fractions import Fraction
+    played = [(n, o, e, t) for n, o, e, t in zip(counts, odd.tolist(), even.tolist(),
+                                                 (odd + even).tolist()) if n]
+    scale = max(v.as_integer_ratio()[1] for _, *cell in played for v in cell)
 
-    played = [(n, Fraction(o), Fraction(e), Fraction(t))
-              for n, o, e, t in zip(counts, odd.tolist(), even.tolist(),
-                                    (odd + even).tolist()) if n]
-    total = sum(n * t for n, _, _, t in played)
+    def scaled(v: float) -> int:
+        num, den = v.as_integer_ratio()
+        return num * (scale // den)
+
+    total = sum(n * scaled(t) for n, _, _, t in played)
     var = 0.0
     if rounds > 1:
-        squares = sum(n * t * t for n, _, _, t in played)
-        var = float((squares - total * total / rounds) / (rounds - 1))
+        squares = sum(n * scaled(t) ** 2 for n, _, _, t in played)
+        var = (rounds * squares - total * total) / (scale * scale * rounds * (rounds - 1))
+    per_round = scale * rounds
     return SimReport(
         rounds=rounds,
-        empirical_mean=float(total / rounds),
+        empirical_mean=total / per_round,
         std_error=math.sqrt(var) / math.sqrt(rounds),
         analytic_mean=analytic,
-        per_desk_means=(float(sum(n * o for n, o, _, _ in played) / rounds),
-                        float(sum(n * e for n, _, e, _ in played) / rounds)),
+        per_desk_means=(sum(n * scaled(o) for n, o, _, _ in played) / per_round,
+                        sum(n * scaled(e) for n, _, e, _ in played) / per_round),
         seed=seed,
     )

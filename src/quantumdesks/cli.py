@@ -26,9 +26,11 @@ Each command imports what it needs when it runs, so a process pays only
 for its own command: ``eval``, ``equilibrium`` and ``simulate`` load
 numpy; ``curve`` and ``classical`` do no array maths and never load it.
 The two streamed CSV files, ``curve --out`` and ``simulate --csv``, are
-written a block of rows at a time, each block formatted by one ``%`` on
-a repeated row template, so memory stays flat in ``--samples`` and
-``--rounds``.
+written ``_BLOCK_ROWS`` rows at a time, each block formatted by one ``%``
+on a repeated row template, so memory stays flat in ``--samples`` and
+``--rounds``.  ``simulate --csv`` draws the stream once: the blocks of
+rounds that give the rows also give the cell counts that the report is
+built from, and the report is printed after the file is written.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ EXIT_NUMERIC = 3
 EXIT_IO = 4
 EXIT_NO_CONVERGENCE = 5
 
-#: ``curve`` formats and writes this many rows at a time; ``simulate``
-#: writes one chunk of rounds of ``casino`` at a time
-_BLOCK_ROWS = 8192
+#: ``curve --out`` and ``simulate --csv`` format and write this many rows
+#: at a time; ``simulate --csv`` also draws its rounds a block at a time
+_BLOCK_ROWS = 1024
 _CURVE_ROW = "%.17g,%.17g,%.17g\n"
 _ROUND_ROW = "%d,%s,%.17g\n"
 
@@ -240,41 +242,50 @@ def cmd_simulate(args) -> int:
     if args.rounds < 1:
         print("error: --rounds must be at least 1", file=sys.stderr)
         return EXIT_USAGE
-    report = simulate(spec, args.alpha, args.beta, args.rounds, args.seed)
-    print(serialize.dumps(report.to_dict()))
-    if args.csv is not None:
+    if args.csv is None:
+        report = simulate(spec, args.alpha, args.beta, args.rounds, args.seed)
+    else:
         try:
             with open(args.csv, "w", encoding="utf-8") as fh:
-                _write_rounds(fh, spec, args)
+                report = _write_rounds(fh, spec, args)
         except OSError as exc:
+            report = simulate(spec, args.alpha, args.beta, args.rounds, args.seed)
+            print(serialize.dumps(report.to_dict()))
             print(f"error: cannot write {args.csv}: {exc}", file=sys.stderr)
             return EXIT_IO
+    print(serialize.dumps(report.to_dict()))
     return EXIT_OK
 
 
-def _write_rounds(fh, spec, args) -> None:
-    """Stream ``round,payoff,running_mean`` rows one chunk of rounds at a time.
+def _write_rounds(fh, spec, args):
+    """Stream ``round,payoff,running_mean`` rows a block of rounds at a time,
+    and return the run's report.
 
-    The running sum carries across chunks by leading each chunk's cumsum
-    with the previous total, so it equals one cumsum over all rounds.  Each
-    chunk's rows are formatted by one ``%`` on a repeated row template.
-    Payoffs print as their ``format_float`` labels; the means are taken
-    as ``means + 0.0``, which turns -0.0 into 0 as ``format_float`` does,
-    and a non-finite mean raises ``format_float``'s ValueError.
+    One pass over the stream gives both the rows and the 16 cell counts
+    that ``casino`` builds its report from, so the report is the one
+    ``simulate`` gives and describes the rows written.  The running sum
+    carries across blocks by leading each block's cumsum with the previous
+    total, so it equals one cumsum over all rounds.  Each block's rows are
+    formatted by one ``%`` on a repeated row template.  Payoffs print as
+    their ``format_float`` labels; the means are taken as ``means + 0.0``,
+    which turns -0.0 into 0 as ``format_float`` does, and a non-finite mean
+    raises ``format_float``'s ValueError.
     """
     import numpy as np
 
-    from .casino import _product_rounds
+    from .casino import _product_report, _product_rounds
     from .classical import classical_matrix
 
-    cells = _product_rounds(spec, args.alpha, args.beta, args.rounds, args.seed)
+    cells = _product_rounds(spec, args.alpha, args.beta, args.rounds, args.seed, _BLOCK_ROWS)
     payoffs = classical_matrix(spec.coefficients).entries.ravel()
     labels = np.array([serialize.format_float(v) for v in payoffs.tolist()], dtype=object)
+    counts = np.zeros(16, dtype=np.int64)
     fh.write("round,payoff,running_mean\n")
     done, running = 0, None
-    for chunk in cells:
-        n = len(chunk)
-        pay = payoffs[chunk]
+    for block in cells:
+        n = len(block)
+        counts += np.bincount(block, minlength=16)
+        pay = payoffs[block]
         head = pay if running is None else np.concatenate(([running[-1]], pay))
         running = np.cumsum(head)[-n:]
         means = running / np.arange(done + 1, done + n + 1) + 0.0
@@ -283,10 +294,12 @@ def _write_rounds(fh, spec, args) -> None:
             serialize.format_float(float(means[~finite][0]))  # raises its ValueError
         fields = [None] * (3 * n)
         fields[0::3] = range(done + 1, done + n + 1)
-        fields[1::3] = labels[chunk].tolist()
+        fields[1::3] = labels[block].tolist()
         fields[2::3] = means.tolist()
         fh.write(_ROUND_ROW * n % tuple(fields))
         done += n
+    return _product_report(spec, args.alpha, args.beta, counts.tolist(), args.rounds,
+                           args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -356,6 +357,27 @@ class TestChunks:
         assert report_statistics(got) == exact_statistics(
             joint_rounds(self.SPEC, alice, bob, rounds, 9))
 
+    @pytest.mark.parametrize("rounds", [1, 2, 23])
+    @pytest.mark.parametrize("stake", [0.0, -0.0, 5e-324, 2.2e-308, 1e150])
+    def test_extreme_stakes_are_exact(self, monkeypatch, stake, rounds):
+        # signed zeros, a subnormal, the smallest normal's scale and the
+        # CLI's stake limit, all times SPEC's stakes
+        monkeypatch.setattr(casino, "_CHUNK_ROUNDS", 7)
+        spec = make_spec(*(stake * c for c in (-1.0, 0.5, 2.0, -1.5)),
+                         theta=1.2, lam=0.8, tau=0.4, mu=2.0)
+        assert report_statistics(simulate(spec, 0.7, 1.9, rounds, seed=123)) == \
+            exact_statistics(chained_rounds(spec, 0.7, 1.9, rounds, 123))
+        got = simulate_joint(spec, self.JOINT_A, self.JOINT_B, rounds, seed=77)
+        assert report_statistics(got) == exact_statistics(
+            joint_rounds(spec, self.JOINT_A, self.JOINT_B, rounds, 77))
+
+    def test_variance_beyond_the_float_range_raises(self):
+        # stakes of 1e160 give an exact variance of ~1e320, which no float
+        # holds; the CLI caps stakes at 1e150
+        spec = make_spec(1e160, -1e160, 2e160, 1e160, theta=1.2, tau=0.4)
+        with pytest.raises(OverflowError):
+            simulate(spec, 0.7, 1.9, 100, seed=5)
+
     def test_statistics_do_not_depend_on_chunk_size(self, monkeypatch):
         want = simulate(self.SPEC, 0.3, 0.9, 3000, seed=5)
         for chunk in (1, 7, 1000, 4096):
@@ -382,6 +404,35 @@ class TestChunks:
         # 200 times that and more
         assert max(small, large) <= 8 * 32 * chunk
         assert abs(large - small) <= 0.05 * small
+
+
+class TestReport:
+    """``_report`` rounds exact sums over the cell counts once each."""
+
+    @staticmethod
+    def rational_statistics(counts, odd, even):
+        """The report's statistics in Fraction arithmetic, from weighted cells."""
+        rounds = sum(counts)
+        cells = [(n, Fraction(o), Fraction(e), Fraction(o + e))
+                 for n, o, e in zip(counts, odd, even)]
+        total = sum(n * t for n, _, _, t in cells)
+        var = 0.0
+        if rounds > 1:
+            var = float((sum(n * t * t for n, _, _, t in cells) - total * total / rounds)
+                        / (rounds - 1))
+        return (float(total / rounds), math.sqrt(var) / math.sqrt(rounds),
+                (float(sum(n * o for n, o, _, _ in cells) / rounds),
+                 float(sum(n * e for n, _, e, _ in cells) / rounds)))
+
+    def test_equals_rational_arithmetic(self, rng):
+        for _ in range(300):
+            counts = [int(n) for n in rng.integers(0, 10 ** rng.integers(1, 13), 16)]
+            counts[int(rng.integers(16))] += 1
+            odd, even = (rng.uniform(-1, 1, 16) * 10.0 ** rng.integers(-320, 100, 16)
+                         for _ in range(2))
+            got = casino._report(counts, odd, even, 0.0, sum(counts), 0)
+            assert report_statistics(got) == self.rational_statistics(
+                counts, odd.tolist(), even.tolist())
 
 
 class TestReportSerialization:

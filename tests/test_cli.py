@@ -2,11 +2,13 @@ import argparse
 import io
 import json
 import math
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from quantumdesks import casino, serialize
+from quantumdesks import ObservableFrame, casino, cli, probabilities_from_angle, serialize
 from quantumdesks.cli import _write_rounds, main
 from conftest import chained_rounds, make_spec
 
@@ -20,16 +22,38 @@ ZERO = {"c1": 0.0, "c2": 0.0, "c3": 0.0, "c4": 0.0,
         "alice": {"theta": 0.3}, "bob": {"tau": 0.6}}
 
 
-def chained_csv(doc, alpha, beta, rounds, seed) -> str:
-    """The ``simulate --csv`` file of ``rounds`` chained play_round calls."""
-    spec = make_spec(*(doc[c] for c in ("c1", "c2", "c3", "c4")),
+#: rounds that ``simulate --csv`` draws and writes at a time
+BLOCK = cli._BLOCK_ROWS
+
+
+def spec_of(doc):
+    """The GameSpec of a spec document with explicit phases."""
+    return make_spec(*(doc[c] for c in ("c1", "c2", "c3", "c4")),
                      doc["alice"]["theta"], doc["alice"]["lambda"],
                      doc["bob"]["tau"], doc["bob"]["mu"])
-    payoffs = [total for total, _, _ in chained_rounds(spec, alpha, beta, rounds, seed)]
+
+
+def chained_csv(doc, alpha, beta, rounds, seed) -> str:
+    """The ``simulate --csv`` file of ``rounds`` chained play_round calls."""
+    rows = chained_rounds(spec_of(doc), alpha, beta, rounds, seed)
+    payoffs = [total for total, _, _ in rows]
     running = np.cumsum(payoffs) / np.arange(1, rounds + 1)
     f = serialize.format_float
     return "round,payoff,running_mean\n" + "".join(
         f"{k + 1},{f(p)},{f(float(m))}\n" for k, (p, m) in enumerate(zip(payoffs, running)))
+
+
+def assert_same_rows(got: str, want: str) -> None:
+    """``got == want``, failing on the first row that differs.
+
+    pytest's diff of two long strings that differ can run for minutes,
+    so the texts are compared row by row instead.
+    """
+    got_rows, want_rows = got.split("\n"), want.split("\n")
+    for k, (a, b) in enumerate(zip(got_rows, want_rows)):
+        if a != b:
+            pytest.fail(f"row {k} differs: {a!r} != {b!r}")
+    assert len(got_rows) == len(want_rows)
 
 
 @pytest.fixture
@@ -204,6 +228,16 @@ class TestCurve:
         assert main(["curve", spec_file(GENERIC), "--player", "alice",
                      "--samples", "4", "--out", str(tmp_path)]) == 4
 
+    def test_two_samples(self, capsys, tmp_path, spec_file):
+        out = tmp_path / "curve.csv"
+        assert main(["curve", spec_file(GENERIC), "--player", "bob",
+                     "--samples", "2", "--out", str(out)]) == 0
+        frame = ObservableFrame(GENERIC["bob"]["tau"], GENERIC["bob"]["mu"])
+        start, quarter = (probabilities_from_angle(a, frame) for a in (0.0, math.pi / 2))
+        lines = out.read_text().splitlines()
+        assert [tuple(float(v) for v in line.split(",")) for line in lines[2:]] == \
+            [(0.0, start.p1, start.p2), (math.pi / 2, quarter.p1, quarter.p2)]
+
 
 class TestEquilibrium:
     def test_decoupled_value(self, capsys, spec_file):
@@ -340,21 +374,86 @@ class TestSimulate:
         assert running[-1] == pytest.approx(doc["empirical_mean"], abs=1e-12)
         assert running[0] == payoffs[0]
 
-    def test_csv_streamed_over_chunks_matches_chained_rounds(self, capsys, tmp_path,
-                                                            spec_file, monkeypatch):
-        monkeypatch.setattr(casino, "_CHUNK_ROUNDS", 8)
-        rounds, out = 20, tmp_path / "rounds.csv"  # two and a half chunks
+    @pytest.mark.parametrize("rounds", [7, 8, 9, 29])
+    def test_csv_over_blocks_matches_chained_rounds(self, capsys, tmp_path, spec_file,
+                                                    monkeypatch, rounds):
+        # block - 1, block, block + 1, and three blocks of 8 rounds and a part
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
+        out = tmp_path / "rounds.csv"
         assert main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
                      "--rounds", str(rounds), "--seed", "11", "--csv", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == chained_csv(GENERIC, 0.3, 0.9, rounds, 11)
+        assert_same_rows(out.read_text(encoding="utf-8"),
+                         chained_csv(GENERIC, 0.3, 0.9, rounds, 11))
 
-    @pytest.mark.parametrize("rounds", [8191, 8192, 8193])
-    def test_csv_at_the_chunk_boundary_matches_chained_rounds(self, capsys, tmp_path,
+    @pytest.mark.parametrize("rounds", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+    def test_csv_at_the_block_boundary_matches_chained_rounds(self, capsys, tmp_path,
                                                               spec_file, rounds):
         out = tmp_path / "rounds.csv"
         assert main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
                      "--rounds", str(rounds), "--seed", "11", "--csv", str(out)]) == 0
-        assert out.read_text(encoding="utf-8") == chained_csv(GENERIC, 0.3, 0.9, rounds, 11)
+        assert_same_rows(out.read_text(encoding="utf-8"),
+                         chained_csv(GENERIC, 0.3, 0.9, rounds, 11))
+
+    @pytest.mark.parametrize("rounds", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
+    def test_csv_run_prints_the_report_of_a_plain_run(self, capsys, tmp_path, spec_file,
+                                                      rounds):
+        argv = ["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
+                "--rounds", str(rounds), "--seed", "11"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main(argv + ["--csv", str(tmp_path / "rounds.csv")]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_csv_draws_the_stream_once_a_block_at_a_time(self, capsys, tmp_path,
+                                                         spec_file, monkeypatch):
+        real, draws = casino._round_cells, []
+
+        def recorded(*args):
+            draws.append([])
+            for cells in real(*args):
+                draws[-1].append(len(cells))
+                yield cells
+
+        monkeypatch.setattr(casino, "_round_cells", recorded)
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
+        assert main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
+                     "--rounds", "20", "--csv", str(tmp_path / "rounds.csv")]) == 0
+        assert draws == [[8, 8, 4]]
+
+    @pytest.mark.parametrize("block", [512, BLOCK])
+    def test_csv_peak_memory_is_flat_in_rounds(self, capsys, tmp_path, spec_file,
+                                               monkeypatch, block):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        spec, out = spec_file(GENERIC), str(tmp_path / "rounds.csv")
+
+        def peak(rounds: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main(["simulate", spec, "--alpha", "0.3", "--beta", "0.9",
+                             "--rounds", str(rounds), "--csv", out]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                capsys.readouterr()
+
+        peak(block)  # warm up caches that a first call fills
+        small, large = peak(20 * block), peak(200 * block)
+        # a block's draw buffers, row fields and text take ~300 B a round;
+        # a whole run would take 200 times that
+        assert max(small, large) <= 512 * block
+        assert abs(large - small) <= 0.05 * small
+
+    def test_one_round(self, capsys, tmp_path, spec_file):
+        argv = ["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
+                "--rounds", "1", "--seed", "11"]
+        [(total, odd, even)] = chained_rounds(spec_of(GENERIC), 0.3, 0.9, 1, 11)
+        code, doc = run_json(capsys, argv)
+        assert code == 0
+        assert (doc["empirical_mean"], doc["std_error"], doc["per_desk_means"]) == \
+            (total, 0, {"odd": odd, "even": even})
+        out = tmp_path / "rounds.csv"
+        assert run_json(capsys, argv + ["--csv", str(out)]) == (code, doc)
+        assert_same_rows(out.read_text(encoding="utf-8"), chained_csv(GENERIC, 0.3, 0.9, 1, 11))
 
     @pytest.mark.parametrize("rounds", [1, 8193])
     def test_csv_prints_negative_zero_as_zero(self, capsys, tmp_path, spec_file, rounds):
@@ -379,12 +478,28 @@ class TestSimulate:
             _write_rounds(io.StringIO(), make_spec(0.0, 0.0, 1.5e308, 0.0), args)
 
     def test_unwritable_csv_exits_4_after_the_report(self, capsys, tmp_path, spec_file):
-        code = main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
-                     "--rounds", "100", "--seed", "11", "--csv", str(tmp_path)])
+        argv = ["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
+                "--rounds", "100", "--seed", "11"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        code = main(argv + ["--csv", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 4
-        assert json.loads(captured.out)["rounds"] == 100
+        assert captured.out == plain
         assert captured.err.startswith(f"error: cannot write {tmp_path}")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_csv_failing_mid_write_exits_4_after_the_report(self, capsys, spec_file):
+        # /dev/full opens, and every write to it fails with ENOSPC
+        argv = ["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
+                "--rounds", str(3 * BLOCK), "--seed", "11"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        code = main(argv + ["--csv", "/dev/full"])
+        captured = capsys.readouterr()
+        assert code == 4
+        assert captured.out == plain
+        assert captured.err.startswith("error: cannot write /dev/full")
 
     def test_json_round_trip_is_byte_identical(self, capsys, spec_file):
         main(["simulate", spec_file(GENERIC), "--alpha", "0.3",

@@ -152,6 +152,11 @@ class TestCurvePoints:
         with pytest.raises(ValueError):
             curve_points(quarter_frame(), 1)
 
+    def test_two_points_are_the_angles_zero_and_a_quarter_turn(self):
+        frame = ObservableFrame(1.234, 5.0)
+        want = [probabilities_from_angle(a, frame) for a in (0.0, math.pi / 2)]
+        assert curve_points(frame, 2) == [(p.p1, p.p2) for p in want]
+
 
 class TestAnglesForPoint:
     def test_unique_preimage_of_corner(self):
