@@ -120,6 +120,12 @@ COMMANDS = (
      "--seed", "42"),
     ("simulate", "{spec}", "--alpha", "0.785", "--beta", "0.785", "--rounds", "40",
      "--seed", "42", "--csv", "{dir}/rounds.csv"),
+    # an odd run over three chunks of 8192 rounds, ending on a half-filled pair
+    ("simulate", "{spec}", "--alpha", "0.785", "--beta", "0.785", "--rounds", "16385",
+     "--seed", "42"),
+    # alpha = 0 gives Alice p1 = 1 exactly on every spec: draws at the limit 2**53
+    ("simulate", "{spec}", "--alpha", "0", "--beta", "1.5707963267948966", "--rounds",
+     "16385", "--seed", "42"),
 )
 
 
