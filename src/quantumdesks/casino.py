@@ -10,12 +10,16 @@ where mix is the xor-shift-multiply finalizer (shifts 30/27/31 with
 multipliers 0xBF58476D1CE4E5B9 and 0x94D049BB133111EB).  A uniform in
 [0, 1) takes the top 53 bits of the output: (output >> 11) * 2**-53.
 An outcome with probability p is drawn as ``uniform < p``.  The
-simulation evaluates that draw on the 53-bit mantissa m = output >> 11
-instead: m * 2**-53 < p holds exactly when m < ceil(p * 2**53), because
-scaling by a power of two is exact and m is an integer.  The limit is
+simulation evaluates that draw on the raw 64-bit output word w instead.
+With m = w >> 11, m * 2**-53 < p holds exactly when m < L = ceil(p * 2**53),
+because scaling by a power of two is exact and m is an integer; L is
 clamped to [0, 2**53], which keeps a p a rounding step outside [0, 1]
-drawing as never or always.  The integer comparison thus lands every
-round in the same outcome as the float one.
+drawing as never or always.  For L < 2**53, m >= L holds exactly when
+w >= L << 11, because the low 11 bits of L << 11 are zero, so no shift
+is taken.  L = 2**53 (p rounds to 1) has no 64-bit word limit: there
+``w >= limit`` must never hold, so those draws are masked to false
+after the comparison, and only when such a limit occurs.  The word
+comparison thus lands every round in the same outcome as the float one.
 
 Within a round the draw order is frozen: Alice odd, Alice even, Bob odd,
 Bob even (two draws, Alice then Bob, in the correlated-joint variant).
@@ -26,16 +30,25 @@ compound strategy i against Bob's j, the row-major index into
 ``classical_matrix``, and the round pays what ``classical.desk_table``
 holds for its cell.  Product-form rounds pack their four "no" bits in
 draw order, which gives that index; correlated rounds draw i and j
-directly.  The state advance is a constant increment, so the stream can
-start at any round with one addition; a simulation draws a fixed chunk
-of rounds at a time into buffers it reuses, counts the cells and keeps
-nothing else.  Its memory does not grow with the number of rounds, and
-its statistics follow exactly from the 16 counts, in integer arithmetic
-(see ``_report``).  ``simulate`` draws ``_CHUNK_ROUNDS`` rounds at a
-time; the CLI's ``simulate --csv`` passes its own smaller block to the
-same generator and builds its report from the same counts.
-"""
+directly.  Both variants keep cells two rounds to a byte, the first
+round in the high nibble: the pair byte 16 * cell_0 + cell_1, the layout
+``np.packbits`` gives the product form's no-bits.  When a block holds an
+odd number of rounds, the low nibble of its last byte is padding and
+holds 0.
 
+The state advance is a constant increment, so the stream can start at
+any round with one addition; a simulation draws a fixed, even chunk of
+rounds at a time into buffers it reuses, counts the chunk's pair bytes
+in a 256-bin histogram and keeps nothing else.  The histogram folds into
+the 16 cell counts once per run: each byte counts one round in the cell
+of each nibble, and an odd run's one padding nibble is taken back from
+cell 0.  Memory does not grow with the number of rounds, and the
+statistics follow exactly from the 16 counts, in integer arithmetic (see
+``_report``).  ``simulate`` draws ``_CHUNK_ROUNDS`` rounds at a time; the
+CLI's ``simulate --csv`` passes its own smaller block to the same
+generator, unpacks the pair bytes for its rows and builds its report
+from the same fold.
+"""
 from __future__ import annotations
 
 import math
@@ -59,7 +72,7 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
-#: Rounds drawn at a time.  Any size gives the same results.
+#: Rounds drawn at a time, rounded up to even.  Any size gives the same results.
 _CHUNK_ROUNDS = 8192
 
 
@@ -89,9 +102,9 @@ def _stream_offsets(count: int) -> np.ndarray:
     return offsets
 
 
-def _mantissas(offsets, seed, out, spare) -> np.ndarray:
-    """The 53-bit mantissas ``output >> 11`` of the draws at ``offsets``
-    past ``seed``, written into ``out``.
+def _words(offsets, seed, out, spare) -> np.ndarray:
+    """The 64-bit output words of the draws at ``offsets`` past ``seed``,
+    written into ``out``.
 
     SplitMix64's state advance is a constant increment, so the block is
     one addition to precomputed offsets; the finalizer then runs in place,
@@ -104,7 +117,6 @@ def _mantissas(offsets, seed, out, spare) -> np.ndarray:
         out *= np.uint64(mult)
     np.right_shift(out, np.uint64(31), out=spare)
     out ^= spare
-    out >>= np.uint64(11)
     return out
 
 
@@ -171,21 +183,21 @@ def simulate(
     ``seed``.  The rounds are drawn a chunk at a time and only their
     outcome cells are counted, so memory stays flat in ``rounds``; the
     means and the variance are exact over the rounds' float payoffs until
-    one final rounding each.  Stakes beyond about 1e150 in magnitude
+    one final rounding each.  Stakes beyond about 1e154 in magnitude
     overflow the variance and raise OverflowError.
     """
-    counts = _cell_counts(_product_rounds(spec, alpha, beta, rounds, seed))
+    counts = _cell_counts(_product_rounds(spec, alpha, beta, rounds, seed), rounds)
     return _product_report(spec, alpha, beta, counts, rounds, seed)
 
 
 def _product_rounds(spec, alpha, beta, rounds, seed, chunk=None):
-    """The outcome cells of product-form play, ``chunk`` rounds at a time
+    """The pair bytes of product-form play, ``chunk`` rounds at a time
     (``_CHUNK_ROUNDS`` by default)."""
     if rounds < 1:
         raise ValueError("need at least one round")
     p = probabilities_from_angle(alpha, spec.alice_frame)
     q = probabilities_from_angle(beta, spec.bob_frame)
-    return _round_cells(seed, rounds, [[p.p1, p.p2, q.p1, q.p2]], _product_cells, chunk)
+    return _round_pairs(seed, rounds, [[p.p1, p.p2, q.p1, q.p2]], _product_pairs, chunk)
 
 
 def _product_report(spec, alpha, beta, counts, rounds, seed):
@@ -194,48 +206,61 @@ def _product_report(spec, alpha, beta, counts, rounds, seed):
                    payoff_surface(spec, alpha, beta), rounds, seed)
 
 
-def _product_cells(mantissas, limits, cells) -> None:
-    """Pack each round's four no-bits into its cell.
+def _product_pairs(words, limits, never, scratch):
+    """Pack each round's four no-bits into its cell, two rounds to a byte.
 
     The bits in draw order, 8 * Alice odd no + 4 * Alice even no + 2 * Bob
     odd no + Bob even no, are 4 * Alice's compound index + Bob's, because
-    the compound index is 2 * odd no + even no.
-
-    ``packbits`` puts two rounds in a byte, the first in the high nibble;
-    when the chunk has an odd number of rounds, the low nibble of the
-    last byte is padding and is not read.
+    the compound index is 2 * odd no + even no.  ``packbits`` puts eight
+    bits in a byte, the first in the high bit, so each byte it gives is a
+    pair byte; for an odd number of rounds it pads the last byte's low
+    nibble with zeros.
     """
-    packed = np.packbits(np.greater_equal(mantissas, limits[0]))
-    np.right_shift(packed, 4, out=cells[0::2])
-    np.bitwise_and(packed[:len(cells) // 2], 15, out=cells[1::2])
+    no = scratch[:len(words)].view(np.bool_)
+    return np.packbits(_reached(words, limits[0], never[0], 4, out=no))
 
 
-def _round_cells(seed, rounds, thresholds, cells_of, chunk=None):
-    """The ``uint8`` outcome cell of every round, ``chunk`` rounds at a time
-    (``_CHUNK_ROUNDS`` by default).
+def _reached(words, limits, never, draws, out=None):
+    """``words >= limits`` for a chunk of ``draws`` draws a round, false at
+    the draws listed in ``never``: their L is 2**53, which no word reaches
+    (see the module docstring)."""
+    reached = np.greater_equal(words, limits, out=out)
+    for draw in never:
+        reached[draw::draws] = False
+    return reached
+
+
+def _round_pairs(seed, rounds, thresholds, pairs_of, chunk=None):
+    """The outcome cells of every round as pair bytes (see the module
+    docstring), ``chunk`` rounds at a time (``_CHUNK_ROUNDS`` by default,
+    rounded up to even).
 
     ``thresholds`` holds rows of one probability per draw of a round; each
-    becomes the integer limit of its draws (see the module docstring),
-    tiled over a chunk.  Round ``start`` begins ``draws * start`` draws
+    becomes the word limit ``L << 11`` of its draws, tiled over a chunk,
+    and ``never`` lists for each row the draws whose L is 2**53, which
+    ``pairs_of`` masks.  Round ``start`` begins ``draws * start`` draws
     into the stream, so a chunk's stream is seeded that many steps ahead
-    of ``seed``.  ``cells_of(mantissas, limits, cells)`` fills a chunk's
-    cells.  The stream offsets and every buffer are built once per call and
-    reused, so each yielded array is overwritten by the next.
+    of ``seed``.  ``pairs_of(words, limits, never, scratch)`` returns a
+    chunk's pair bytes.  Every chunk but the last holds an even number of
+    rounds, so only the last byte of a run can hold a padding nibble.  The
+    stream offsets and every buffer are built once per call and reused, so
+    each yielded array may be overwritten by the next.
     """
     draws = len(thresholds[0])
     chunk = min(chunk or _CHUNK_ROUNDS, rounds)
-    limits = np.tile(np.array([[_mantissa_limit(p) for p in row] for row in thresholds],
+    chunk += chunk % 2
+    mantissa_limits = [[_mantissa_limit(p) for p in row] for row in thresholds]
+    limits = np.tile(np.array([[(m << 11) & _MASK64 for m in row] for row in mantissa_limits],
                               dtype=np.uint64), chunk)
+    never = [[d for d, m in enumerate(row) if m == 1 << 53] for row in mantissa_limits]
     offsets = _stream_offsets(draws * chunk)
     words, spare = np.empty_like(offsets), np.empty_like(offsets)
-    cells = np.empty(chunk, dtype=np.uint8)
+    scratch = np.empty(draws * chunk, dtype=np.uint8)
     for start in range(0, rounds, chunk):
-        n = min(chunk, rounds - start)
-        size = draws * n
-        mantissas = _mantissas(offsets[:size], seed + draws * start * _GAMMA,
-                               words[:size], spare[:size])
-        cells_of(mantissas, limits[:, :size], cells[:n])
-        yield cells[:n]
+        size = draws * min(chunk, rounds - start)
+        yield pairs_of(_words(offsets[:size], seed + draws * start * _GAMMA,
+                              words[:size], spare[:size]),
+                       limits[:, :size], never, scratch)
 
 
 def simulate_joint(
@@ -250,7 +275,11 @@ def simulate_joint(
     Each round draws one compound strategy per player (Alice first) from
     their joint distribution.  Lets classically correlated desk play be
     contrasted with the product-form rounds of ``simulate``; the expected
-    payoff depends on the joints only through their marginals.
+    payoff depends on the joints only through their marginals.  Like
+    ``simulate``, it keeps only the 16 cell counts, and its statistics are
+    exact until one final rounding each.  Stakes beyond about 1e154 in
+    magnitude overflow the variance and raise OverflowError; stakes whose
+    sums overflow the 4x4 matrix raise ValueError from ``ClassicalMatrix``.
     """
     if rounds < 1:
         raise ValueError("need at least one round")
@@ -260,26 +289,49 @@ def simulate_joint(
     # limit serves both
     edges = list(zip(*(np.cumsum(j.as_vector())[:3].tolist() for j in (alice, bob))))
     analytic = bilinear_payoff(classical_matrix(spec.coefficients), alice, bob)
-    return _report(_cell_counts(_round_cells(seed, rounds, edges, _compound_cells)),
-                   *desk_table(spec.coefficients), analytic, rounds, seed)
+    counts = _cell_counts(_round_pairs(seed, rounds, edges, _compound_pairs), rounds)
+    return _report(counts, *desk_table(spec.coefficients), analytic, rounds, seed)
 
 
-def _compound_cells(mantissas, limits, cells) -> None:
-    """4 * Alice's compound index + Bob's, from each round's two draws."""
-    index = np.greater_equal(mantissas, limits[0]).view(np.uint8)
-    for row in limits[1:]:
-        index += mantissas >= row
-    # each round's pair (ia, ib) reads ia + 256 * ib as a little-endian
-    # 16-bit word; times 0x401 its high byte is 4 * ia + ib (mod 2**16)
-    pairs = index.view("<u2") * np.uint16(0x401)
-    np.right_shift(pairs, 8, out=cells, casting="unsafe")
+def _compound_pairs(words, limits, never, scratch):
+    """16 * cell_0 + cell_1 for each two rounds, where a round's cell is
+    4 * Alice's compound index + Bob's, from its two draws."""
+    size = len(words)
+    index = scratch[:size]
+    _reached(words, limits[0], never[0], 2, out=index.view(np.bool_))
+    for row, masked in zip(limits[1:], never[1:]):
+        index += _reached(words, row, masked, 2)
+    # two rounds' indices (ia0, ib0, ia1, ib1) read as one little-endian
+    # 32-bit word; times 0x40100401 its high byte is
+    # 64 * ia0 + 16 * ib0 + 4 * ia1 + ib1, and no lower byte carries.  An
+    # odd chunk's missing round reads as zeros, not as stale indices.
+    quads = scratch[:-(-size // 4) * 4]
+    quads[size:] = 0
+    words32 = quads.view("<u4")
+    words32 *= np.uint32(0x40100401)
+    return quads[3::4]
 
 
-def _cell_counts(cells) -> list[int]:
-    """How many rounds ended in each of the 16 cells."""
-    counts = np.zeros(16, dtype=np.int64)
-    for chunk in cells:
-        counts += np.bincount(chunk, minlength=16)
+def _cell_counts(blocks, rounds) -> list[int]:
+    """How many of the ``rounds`` rounds ended in each of the 16 cells,
+    from their blocks of pair bytes."""
+    pairs = np.zeros(256, dtype=np.int64)
+    for block in blocks:
+        pairs += np.bincount(block, minlength=256)
+    return _fold_pairs(pairs, rounds)
+
+
+def _fold_pairs(pairs, rounds) -> list[int]:
+    """The 16 cell counts of ``rounds`` rounds from the counts of their 256
+    pair bytes.
+
+    Byte 16 * c0 + c1 holds one round in cell c0 and one in c1.  An odd
+    run ends on one padding nibble of 0, which counted a round in cell 0
+    that was never played.
+    """
+    grid = pairs.reshape(16, 16)
+    counts = grid.sum(axis=1) + grid.sum(axis=0)
+    counts[0] -= rounds % 2
     return counts.tolist()
 
 

@@ -263,7 +263,12 @@ def _write_rounds(fh, spec, args):
 
     One pass over the stream gives both the rows and the 16 cell counts
     that ``casino`` builds its report from, so the report is the one
-    ``simulate`` gives and describes the rows written.  The running sum
+    ``simulate`` gives and describes the rows written.  ``casino`` yields
+    each block's outcome cells two rounds to a byte, the first round in the
+    high nibble; every block but the last holds an even number of rounds,
+    and an odd last block ends on a padding nibble, which is dropped from
+    the rows.  The blocks' pair bytes are counted and folded into the 16
+    cell counts by ``casino._fold_pairs``, as in ``simulate``.  The running sum
     carries across blocks by leading each block's cumsum with the previous
     total, so it equals one cumsum over all rounds.  Each block's rows are
     formatted by one ``%`` on a repeated row template.  Payoffs print as
@@ -273,18 +278,19 @@ def _write_rounds(fh, spec, args):
     """
     import numpy as np
 
-    from .casino import _product_report, _product_rounds
+    from .casino import _fold_pairs, _product_report, _product_rounds
     from .classical import classical_matrix
 
-    cells = _product_rounds(spec, args.alpha, args.beta, args.rounds, args.seed, _BLOCK_ROWS)
+    blocks = _product_rounds(spec, args.alpha, args.beta, args.rounds, args.seed, _BLOCK_ROWS)
     payoffs = classical_matrix(spec.coefficients).entries.ravel()
     labels = np.array([serialize.format_float(v) for v in payoffs.tolist()], dtype=object)
-    counts = np.zeros(16, dtype=np.int64)
+    pair_counts = np.zeros(256, dtype=np.int64)
     fh.write("round,payoff,running_mean\n")
     done, running = 0, None
-    for block in cells:
-        n = len(block)
-        counts += np.bincount(block, minlength=16)
+    for pairs in blocks:
+        pair_counts += np.bincount(pairs, minlength=256)
+        n = min(2 * len(pairs), args.rounds - done)
+        block = np.stack((pairs >> 4, pairs & 15), axis=1).ravel()[:n]
         pay = payoffs[block]
         head = pay if running is None else np.concatenate(([running[-1]], pay))
         running = np.cumsum(head)[-n:]
@@ -298,8 +304,8 @@ def _write_rounds(fh, spec, args):
         fields[2::3] = means.tolist()
         fh.write(_ROUND_ROW * n % tuple(fields))
         done += n
-    return _product_report(spec, args.alpha, args.beta, counts.tolist(), args.rounds,
-                           args.seed)
+    return _product_report(spec, args.alpha, args.beta, _fold_pairs(pair_counts, args.rounds),
+                           args.rounds, args.seed)
 
 
 def build_parser() -> argparse.ArgumentParser:

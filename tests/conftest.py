@@ -6,8 +6,15 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from quantumdesks import GameSpec, ObservableFrame, PayoffCoefficients, play_round
-from quantumdesks.casino import _mantissas, _stream_offsets
+from quantumdesks import (
+    GameSpec,
+    ObservableFrame,
+    PayoffCoefficients,
+    ProbabilityQuadruple,
+    casino,
+    play_round,
+)
+from quantumdesks.casino import _GAMMA, _MIX1, _MIX2, _mantissa_limit, _stream_offsets, _words
 from quantumdesks.classical import _CHECK_RTOL, ClassicalMatrix, ClassicalSolution
 
 
@@ -138,13 +145,70 @@ def _equalizing_weights(payoffs, eq_idx, var_idx, tol):
     return weights, float(sol[k])
 
 
+MASK64 = (1 << 64) - 1
+
+
 def uniform_block(seed: int, count: int) -> np.ndarray:
     """The first ``count`` uniforms of the stream seeded at ``seed``, drawn
     by the simulation's own vectorized kernel; the values equal ``count``
     successive rng_uniform calls exactly."""
     words = np.empty(count, dtype=np.uint64)
-    _mantissas(_stream_offsets(count), seed, words, np.empty_like(words))
-    return words * 2.0 ** -53
+    _words(_stream_offsets(count), seed, words, np.empty_like(words))
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def seed_for_word(word: int) -> int:
+    """The seed whose first draw outputs the 64-bit ``word``.
+
+    Inverts the SplitMix64 finalizer in integer arithmetic: each
+    ``z ^ (z >> s)`` is undone by iterating ``x = z ^ (x >> s)``, which
+    fixes ``s`` more leading bits per step, each multiplier by its inverse
+    mod 2**64, and the first state advance by subtracting gamma.  Draw k
+    outputs ``word`` from the seed ``seed_for_word(word) - (k - 1) * gamma``.
+    """
+    def unshift(z: int, shift: int) -> int:
+        x = z
+        for _ in range(64 // shift):
+            x = z ^ (x >> shift)
+        return x
+
+    z = unshift(word, 31)
+    z = unshift(z * pow(_MIX2, -1, 1 << 64) & MASK64, 27)
+    z = unshift(z * pow(_MIX1, -1, 1 << 64) & MASK64, 30)
+    return (z - _GAMMA) & MASK64
+
+
+def boundary_words(p: float) -> list[int]:
+    """The output words that test the draw ``uniform < p`` at its edges:
+    0, 2**64 - 1, the least word whose uniform is not below ``p`` and the
+    word before it."""
+    limit = _mantissa_limit(p) << 11
+    return sorted({w for w in (0, MASK64, limit, limit - 1) if 0 <= w <= MASK64})
+
+
+def draw_is_yes(word: int, p: float) -> bool:
+    """The float rule for a draw whose output word is ``word``."""
+    return (word >> 11) * 2.0 ** -53 < p
+
+
+def play_with(monkeypatch, yes) -> None:
+    """Make every product-form round draw with the yes-probabilities
+    ``yes`` in draw order (Alice odd, Alice even, Bob odd, Bob even), when
+    Alice plays the angle 0 and Bob the angle 1."""
+    quads = {0.0: ProbabilityQuadruple(yes[0], yes[1], 1.0 - yes[0], 1.0 - yes[1]),
+             1.0: ProbabilityQuadruple(yes[2], yes[3], 1.0 - yes[2], 1.0 - yes[3])}
+    monkeypatch.setattr(casino, "probabilities_from_angle", lambda angle, frame: quads[angle])
+
+
+def round_cells(blocks, rounds: int) -> list[int]:
+    """The outcome cell of each of ``rounds`` rounds from the casino's
+    blocks of pair bytes: two rounds to a byte, the first in the high
+    nibble.  Checks that only the run's last nibble can be padding, and
+    that it is 0."""
+    cells = [cell for block in blocks for pair in block.tolist()
+             for cell in (pair >> 4, pair & 15)]
+    assert cells[rounds:] in ([], [0])
+    return cells[:rounds]
 
 
 def chained_rounds(spec, alpha, beta, rounds, seed) -> list[tuple[float, float, float]]:

@@ -23,22 +23,33 @@ from quantumdesks import (
 from quantumdesks import casino
 from quantumdesks.casino import (
     SimReport,
-    _compound_cells,
+    _cell_counts,
+    _compound_pairs,
     _mantissa_limit,
-    _product_cells,
+    _product_pairs,
     _product_rounds,
-    _round_cells,
+    _round_pairs,
 )
-from conftest import chained_rounds, exact_statistics, make_spec, uniform_block
+from conftest import (
+    MASK64,
+    boundary_words,
+    chained_rounds,
+    draw_is_yes,
+    exact_statistics,
+    make_spec,
+    play_with,
+    round_cells,
+    seed_for_word,
+    uniform_block,
+)
 
-MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
 
 
 def simulated_payoffs(spec, alpha, beta, rounds, seed) -> np.ndarray:
     """Per-round payoffs of ``simulate``, from its chunks of outcome cells."""
     payoffs = classical_matrix(spec.coefficients).entries.ravel()
-    cells = _product_rounds(spec, alpha, beta, rounds, seed)
-    return np.concatenate([payoffs[chunk] for chunk in cells])
+    return payoffs[round_cells(_product_rounds(spec, alpha, beta, rounds, seed), rounds)]
 
 
 def joint_rounds(spec, alice, bob, rounds, seed) -> list[tuple[float, float, float]]:
@@ -125,8 +136,80 @@ class TestMantissaLimit:
         # all no, and draws equal to all three edges give compound index 3;
         # either way both players play 3-4 (cell 15)
         u = uniform_block(5, 4).tolist()
-        assert next(_round_cells(5, 1, [u], _product_cells)).tolist() == [15]
-        assert next(_round_cells(5, 1, [u[:2]] * 3, _compound_cells)).tolist() == [15]
+        assert round_cells(_round_pairs(5, 1, [u], _product_pairs), 1) == [15]
+        assert round_cells(_round_pairs(5, 1, [u[:2]] * 3, _compound_pairs), 1) == [15]
+
+
+class TestExactBoundary:
+    """Draws whose output word is 0, 2**64 - 1 or on either side of a limit
+    land where the float rule ``uniform < p`` puts them, in play_round and
+    in both variants of the kernel.  ``seed_for_word`` places each word at
+    a chosen draw of a chosen round."""
+
+    SPEC = make_spec(1.0, 2.0, 4.0, 8.0)
+    PROBS = [0.0, 2.0 ** -53, 0.3, 0.5, 1.0 - 2.0 ** -53, 1.0]
+    #: the last three end on an edge of exactly 1.0 (p34 = 0)
+    JOINTS = [JointDistribution(0.6, 0.3, 0.1, 0.0),
+              JointDistribution(0.1, 0.2, 0.7, 0.0),
+              JointDistribution(0.25, 0.25, 0.5, 0.0),
+              JointDistribution(1.0, 0.0, 0.0, 0.0)]
+
+    def test_seed_for_word_gives_the_word(self):
+        for p in self.PROBS:
+            for word in boundary_words(p):
+                assert uniform_block(seed_for_word(word), 1)[0] == (word >> 11) * 2.0 ** -53
+        assert casino.rng_output(casino.rng_advance(seed_for_word(MASK64))) == MASK64
+
+    @pytest.mark.parametrize("p", PROBS)
+    @pytest.mark.parametrize("draw", range(4))
+    @pytest.mark.parametrize("before", [0, 1])
+    def test_product_draw_at_a_boundary_word(self, monkeypatch, p, draw, before):
+        # every other draw is certain yes; a "no" at a draw plays 3 or 4 against
+        # 1 or 2 and pays c1, c2, c3 or c4 for draws 0 to 3
+        play_with(monkeypatch, [p if k == draw else 1.0 for k in range(4)])
+        stake = self.SPEC.coefficients.as_tuple()[draw]
+        rounds = before + 1
+        for word in boundary_words(p):
+            seed = (seed_for_word(word) - (4 * before + draw) * GAMMA) & MASK64
+            u = uniform_block(seed, 4 * rounds)[draw::4].tolist()
+            assert u[-1] == (word >> 11) * 2.0 ** -53
+            want = [0.0 if v < p else stake for v in u]
+            assert want[-1] == (0.0 if draw_is_yes(word, p) else stake)
+            assert [t for t, _, _ in chained_rounds(self.SPEC, 0.0, 1.0, rounds, seed)] == want
+            assert simulated_payoffs(self.SPEC, 0.0, 1.0, rounds, seed).tolist() == want
+            assert simulate(self.SPEC, 0.0, 1.0, rounds, seed).empirical_mean == \
+                sum(want) / rounds
+
+    @pytest.mark.parametrize("joint", JOINTS)
+    @pytest.mark.parametrize("player", [0, 1])
+    @pytest.mark.parametrize("before", [0, 1])
+    def test_joint_draw_at_a_boundary_word(self, joint, player, before):
+        # the other player's edges are all 1.0, so their index is always 0
+        certain = JointDistribution(1.0, 0.0, 0.0, 0.0)
+        alice, bob = (joint, certain) if player == 0 else (certain, joint)
+        edges = np.cumsum(joint.as_vector())[:3].tolist()
+        rows = list(zip(*(np.cumsum(j.as_vector())[:3].tolist() for j in (alice, bob))))
+        rounds = before + 1
+        for word in sorted({w for edge in edges for w in boundary_words(edge)}):
+            seed = (seed_for_word(word) - (2 * before + player) * GAMMA) & MASK64
+            u = uniform_block(seed, 2 * rounds)[player::2].tolist()
+            index = [sum(v >= edge for edge in edges) for v in u]
+            assert index[-1] == sum(not draw_is_yes(word, edge) for edge in edges)
+            want = [4 * i if player == 0 else i for i in index]
+            assert round_cells(_round_pairs(seed, rounds, rows, _compound_pairs), rounds) == want
+            assert report_statistics(simulate_joint(self.SPEC, alice, bob, rounds, seed)) == \
+                exact_statistics(joint_rounds(self.SPEC, alice, bob, rounds, seed))
+
+    def test_an_edge_of_one_is_never_reached(self):
+        # the word 2**64 - 1 is the largest uniform, 1 - 2**-53, below the
+        # edge 1.0: Alice plays index 2 of (0.1, 0.2, 0.7, 0), cell 8
+        alice = JointDistribution(0.1, 0.2, 0.7, 0.0)
+        bob = JointDistribution(0.0, 0.0, 1.0, 0.0)
+        got = simulate_joint(self.SPEC, alice, bob, 1, seed_for_word(MASK64))
+        assert got.empirical_mean == classical_matrix(self.SPEC.coefficients).entries[2, 2]
+        rows = list(zip(*(np.cumsum(j.as_vector())[:3].tolist() for j in (alice, bob))))
+        assert round_cells(_round_pairs(seed_for_word(MASK64), 1, rows, _compound_pairs),
+                           1) == [10]
 
 
 class TestOutcomeCells:
@@ -137,8 +220,8 @@ class TestOutcomeCells:
     def test_certain_draws_land_in_their_cell(self, i, j):
         # compound index i = 2 * odd no + even no; yes-probabilities in draw order
         yes = [float(k < 2) for k in (i, 2 * (i % 2), j, 2 * (j % 2))]
-        cells = next(_round_cells(7, 100, [yes], _product_cells))
-        assert cells.tolist() == [4 * i + j] * 100
+        cells = round_cells(_round_pairs(7, 100, [yes], _product_pairs), 100)
+        assert cells == [4 * i + j] * 100
 
     @pytest.mark.parametrize("alpha, i", [(0.0, 0), (math.pi / 2, 3)])
     @pytest.mark.parametrize("beta, j", [(0.0, 0), (math.pi / 2, 3)])
@@ -149,8 +232,8 @@ class TestOutcomeCells:
         p = probabilities_from_angle(alpha, spec.alice_frame)
         q = probabilities_from_angle(beta, spec.bob_frame)
         assert all(min(v, 1.0 - v) < 1e-32 for v in (p.p1, p.p2, q.p1, q.p2))
-        cells = np.concatenate(list(_product_rounds(spec, alpha, beta, 100, 7)))
-        assert cells.tolist() == [4 * i + j] * 100
+        cells = round_cells(_product_rounds(spec, alpha, beta, 100, 7), 100)
+        assert cells == [4 * i + j] * 100
         entry = classical_matrix(spec.coefficients).entries[i, j]
         assert simulate(spec, alpha, beta, 100, 7).empirical_mean == entry
 
@@ -159,8 +242,8 @@ class TestOutcomeCells:
     def test_certain_joints_land_in_their_cell(self, i, j):
         alice, bob = (JointDistribution(*np.eye(4)[k]) for k in (i, j))
         edges = list(zip(*(np.cumsum(d.as_vector())[:3].tolist() for d in (alice, bob))))
-        cells = next(_round_cells(3, 100, edges, _compound_cells))
-        assert cells.tolist() == [4 * i + j] * 100
+        cells = round_cells(_round_pairs(3, 100, edges, _compound_pairs), 100)
+        assert cells == [4 * i + j] * 100
         spec = make_spec(1.0, 2.0, 3.0, 4.0)
         entry = classical_matrix(spec.coefficients).entries[i, j]
         assert simulate_joint(spec, alice, bob, 100, 3).empirical_mean == entry
@@ -404,6 +487,49 @@ class TestChunks:
         # 200 times that and more
         assert max(small, large) <= 8 * 32 * chunk
         assert abs(large - small) <= 0.05 * small
+
+
+class TestOddLengths:
+    """Runs of any length around the chunk size, with odd and even chunks,
+    count exactly the rounds played: an odd run ends on one padding
+    nibble, and an odd last chunk after a full one reads no stale draws."""
+
+    SPEC = TestChunks.SPEC
+    JOINT_A, JOINT_B = TestChunks.JOINT_A, TestChunks.JOINT_B
+
+    @staticmethod
+    def lengths(chunk: int) -> list[int]:
+        return sorted({1, 2, 3, chunk - 1, chunk, chunk + 1, 2 * chunk + 1})
+
+    @pytest.mark.parametrize("chunk", [7, 8, casino._CHUNK_ROUNDS])
+    def test_simulate_matches_chained_rounds(self, monkeypatch, chunk):
+        monkeypatch.setattr(casino, "_CHUNK_ROUNDS", chunk)
+        rows = chained_rounds(self.SPEC, 0.7, 1.9, 2 * chunk + 1, 123)
+        for rounds in self.lengths(chunk):
+            np.testing.assert_array_equal(simulated_payoffs(self.SPEC, 0.7, 1.9, rounds, 123),
+                                          [total for total, _, _ in rows[:rounds]])
+            assert report_statistics(simulate(self.SPEC, 0.7, 1.9, rounds, 123)) == \
+                exact_statistics(rows[:rounds])
+            cells = round_cells(_product_rounds(self.SPEC, 0.7, 1.9, rounds, 123), rounds)
+            assert _cell_counts(_product_rounds(self.SPEC, 0.7, 1.9, rounds, 123), rounds) == \
+                np.bincount(cells, minlength=16).tolist()
+
+    @pytest.mark.parametrize("chunk", [7, 8, casino._CHUNK_ROUNDS])
+    def test_simulate_joint_matches_drawn_rounds(self, monkeypatch, chunk):
+        monkeypatch.setattr(casino, "_CHUNK_ROUNDS", chunk)
+        rows = joint_rounds(self.SPEC, self.JOINT_A, self.JOINT_B, 2 * chunk + 1, 77)
+        payoffs = classical_matrix(self.SPEC.coefficients).entries.ravel()
+        edges = list(zip(*(np.cumsum(j.as_vector())[:3].tolist()
+                           for j in (self.JOINT_A, self.JOINT_B))))
+        for rounds in self.lengths(chunk):
+            cells = round_cells(_round_pairs(77, rounds, edges, _compound_pairs), rounds)
+            np.testing.assert_array_equal(payoffs[cells],
+                                          [total for total, _, _ in rows[:rounds]])
+            got = simulate_joint(self.SPEC, self.JOINT_A, self.JOINT_B, rounds, seed=77)
+            assert report_statistics(got) == exact_statistics(rows[:rounds])
+            # cell 0 pays nothing, so only the counts show a phantom round there
+            assert _cell_counts(_round_pairs(77, rounds, edges, _compound_pairs), rounds) == \
+                np.bincount(cells, minlength=16).tolist()
 
 
 class TestReport:

@@ -10,7 +10,15 @@ import pytest
 
 from quantumdesks import ObservableFrame, casino, cli, probabilities_from_angle, serialize
 from quantumdesks.cli import _write_rounds, main
-from conftest import chained_rounds, make_spec
+from conftest import (
+    MASK64,
+    boundary_words,
+    chained_rounds,
+    draw_is_yes,
+    make_spec,
+    play_with,
+    seed_for_word,
+)
 
 DECOUPLED = {"c1": 1.0, "c2": 1.0, "c3": 1.0, "c4": 1.0,
              "alice": {"theta": 0.0, "lambda": 0.0},
@@ -385,6 +393,22 @@ class TestSimulate:
         assert_same_rows(out.read_text(encoding="utf-8"),
                          chained_csv(GENERIC, 0.3, 0.9, rounds, 11))
 
+    @pytest.mark.parametrize("rounds", [1, 2, 3, 6, 7, 8, 15])
+    def test_csv_over_odd_blocks_matches_chained_rounds(self, capsys, tmp_path, spec_file,
+                                                        monkeypatch, rounds):
+        # a block of 7 rows is drawn as 8 rounds, two to a byte; 15 rounds
+        # end on an odd block after a full one
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 7)
+        out = tmp_path / "rounds.csv"
+        argv = ["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
+                "--rounds", str(rounds), "--seed", "11"]
+        assert main(argv + ["--csv", str(out)]) == 0
+        assert_same_rows(out.read_text(encoding="utf-8"),
+                         chained_csv(GENERIC, 0.3, 0.9, rounds, 11))
+        with_csv = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == with_csv
+
     @pytest.mark.parametrize("rounds", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 1])
     def test_csv_at_the_block_boundary_matches_chained_rounds(self, capsys, tmp_path,
                                                               spec_file, rounds):
@@ -404,17 +428,37 @@ class TestSimulate:
         assert main(argv + ["--csv", str(tmp_path / "rounds.csv")]) == 0
         assert capsys.readouterr().out == plain
 
+    @pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("draw", range(4))
+    def test_csv_draw_at_a_boundary_word(self, capsys, tmp_path, spec_file, monkeypatch,
+                                         p, draw):
+        # every other draw is certain yes; the word lands at ``draw`` of the
+        # last round, and a "no" there pays GENERIC's c1, c2, c3 or c4
+        play_with(monkeypatch, [p if k == draw else 1.0 for k in range(4)])
+        stake = GENERIC[f"c{draw + 1}"]
+        spec, out = spec_file(GENERIC), tmp_path / "rounds.csv"
+        for before in (0, 1):
+            for word in boundary_words(p):
+                seed = (seed_for_word(word) - (4 * before + draw) * 0x9E3779B97F4A7C15) & MASK64
+                assert main(["simulate", spec, "--alpha", "0", "--beta", "1", "--rounds",
+                             str(before + 1), "--seed", str(seed), "--csv", str(out)]) == 0
+                text = out.read_text(encoding="utf-8")
+                assert float(text.splitlines()[-1].split(",")[1]) == \
+                    (0.0 if draw_is_yes(word, p) else stake)
+                assert_same_rows(text, chained_csv(GENERIC, 0.0, 1.0, before + 1, seed))
+        capsys.readouterr()
+
     def test_csv_draws_the_stream_once_a_block_at_a_time(self, capsys, tmp_path,
                                                          spec_file, monkeypatch):
-        real, draws = casino._round_cells, []
+        real, draws = casino._round_pairs, []
 
         def recorded(*args):
             draws.append([])
-            for cells in real(*args):
-                draws[-1].append(len(cells))
-                yield cells
+            for pairs in real(*args):
+                draws[-1].append(2 * len(pairs))  # two rounds to a byte
+                yield pairs
 
-        monkeypatch.setattr(casino, "_round_cells", recorded)
+        monkeypatch.setattr(casino, "_round_pairs", recorded)
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 8)
         assert main(["simulate", spec_file(GENERIC), "--alpha", "0.3", "--beta", "0.9",
                      "--rounds", "20", "--csv", str(tmp_path / "rounds.csv")]) == 0
