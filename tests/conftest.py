@@ -14,7 +14,7 @@ from quantumdesks import (
     casino,
     play_round,
 )
-from quantumdesks.casino import _GAMMA, _MIX1, _MIX2, _mantissa_limit, _stream_offsets, _words
+from quantumdesks.casino import _mantissa_limit, _stream_offsets, _words
 from quantumdesks.classical import _CHECK_RTOL, ClassicalMatrix, ClassicalSolution
 
 
@@ -145,7 +145,10 @@ def _equalizing_weights(payoffs, eq_idx, var_idx, tol):
     return weights, float(sol[k])
 
 
+#: SplitMix64's word mask, state increment and finalizer multipliers
 MASK64 = (1 << 64) - 1
+GAMMA = 0x9E3779B97F4A7C15
+MIX1, MIX2 = 0xBF58476D1CE4E5B9, 0x94D049BB133111EB
 
 
 def uniform_block(seed: int, count: int) -> np.ndarray:
@@ -173,9 +176,9 @@ def seed_for_word(word: int) -> int:
         return x
 
     z = unshift(word, 31)
-    z = unshift(z * pow(_MIX2, -1, 1 << 64) & MASK64, 27)
-    z = unshift(z * pow(_MIX1, -1, 1 << 64) & MASK64, 30)
-    return (z - _GAMMA) & MASK64
+    z = unshift(z * pow(MIX2, -1, 1 << 64) & MASK64, 27)
+    z = unshift(z * pow(MIX1, -1, 1 << 64) & MASK64, 30)
+    return (z - GAMMA) & MASK64
 
 
 def boundary_words(p: float) -> list[int]:

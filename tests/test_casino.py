@@ -31,6 +31,7 @@ from quantumdesks.casino import (
     _round_pairs,
 )
 from conftest import (
+    GAMMA,
     MASK64,
     boundary_words,
     chained_rounds,
@@ -42,8 +43,6 @@ from conftest import (
     seed_for_word,
     uniform_block,
 )
-
-GAMMA = 0x9E3779B97F4A7C15
 
 
 def simulated_payoffs(spec, alpha, beta, rounds, seed) -> np.ndarray:
@@ -148,7 +147,8 @@ class TestExactBoundary:
 
     SPEC = make_spec(1.0, 2.0, 4.0, 8.0)
     PROBS = [0.0, 2.0 ** -53, 0.3, 0.5, 1.0 - 2.0 ** -53, 1.0]
-    #: the last three end on an edge of exactly 1.0 (p34 = 0)
+    #: the first ends one ulp below 1.0, the last three on an edge of exactly
+    #: 1.0 (p34 = 0)
     JOINTS = [JointDistribution(0.6, 0.3, 0.1, 0.0),
               JointDistribution(0.1, 0.2, 0.7, 0.0),
               JointDistribution(0.25, 0.25, 0.5, 0.0),
@@ -164,8 +164,8 @@ class TestExactBoundary:
     @pytest.mark.parametrize("draw", range(4))
     @pytest.mark.parametrize("before", [0, 1])
     def test_product_draw_at_a_boundary_word(self, monkeypatch, p, draw, before):
-        # every other draw is certain yes; a "no" at a draw plays 3 or 4 against
-        # 1 or 2 and pays c1, c2, c3 or c4 for draws 0 to 3
+        # the other three draws of a round are certain yes; a "no" at a draw
+        # plays 3 or 4 against 1 or 2 and pays c1, c2, c3 or c4 for draws 0 to 3
         play_with(monkeypatch, [p if k == draw else 1.0 for k in range(4)])
         stake = self.SPEC.coefficients.as_tuple()[draw]
         rounds = before + 1

@@ -11,6 +11,7 @@ import pytest
 from quantumdesks import ObservableFrame, casino, cli, probabilities_from_angle, serialize
 from quantumdesks.cli import _write_rounds, main
 from conftest import (
+    GAMMA,
     MASK64,
     boundary_words,
     chained_rounds,
@@ -432,14 +433,15 @@ class TestSimulate:
     @pytest.mark.parametrize("draw", range(4))
     def test_csv_draw_at_a_boundary_word(self, capsys, tmp_path, spec_file, monkeypatch,
                                          p, draw):
-        # every other draw is certain yes; the word lands at ``draw`` of the
-        # last round, and a "no" there pays GENERIC's c1, c2, c3 or c4
+        # the other three draws of a round are certain yes; the word lands at
+        # ``draw`` of the last round, and a "no" there pays GENERIC's c1, c2,
+        # c3 or c4
         play_with(monkeypatch, [p if k == draw else 1.0 for k in range(4)])
         stake = GENERIC[f"c{draw + 1}"]
         spec, out = spec_file(GENERIC), tmp_path / "rounds.csv"
         for before in (0, 1):
             for word in boundary_words(p):
-                seed = (seed_for_word(word) - (4 * before + draw) * 0x9E3779B97F4A7C15) & MASK64
+                seed = (seed_for_word(word) - (4 * before + draw) * GAMMA) & MASK64
                 assert main(["simulate", spec, "--alpha", "0", "--beta", "1", "--rounds",
                              str(before + 1), "--seed", str(seed), "--csv", str(out)]) == 0
                 text = out.read_text(encoding="utf-8")
