@@ -49,6 +49,7 @@ CLI's ``simulate --csv`` passes its own smaller block to the same
 generator, unpacks the pair bytes for its rows and builds its report
 from the same fold.
 """
+
 from __future__ import annotations
 
 import math
@@ -108,8 +109,8 @@ def _aligned_empty(shape, dtype) -> np.ndarray:
 
     numpy aligns its buffers to 16 bytes only.  Where the heap put the
     kernel's buffers 16 bytes past a line, the vector loads and stores
-    that span two lines made a simulation 15-20% slower, so every buffer
-    of a chunk starts on a line.
+    that span two lines made a simulation 15-20% slower on a 2-vCPU Xeon
+    virtual machine, so every buffer of a chunk starts on a line.
     """
     count, size = int(np.prod(shape)), np.dtype(dtype).itemsize
     raw = np.empty(count + 64 // size, dtype=dtype)

@@ -46,7 +46,7 @@ from conftest import (
 
 
 def simulated_payoffs(spec, alpha, beta, rounds, seed) -> np.ndarray:
-    """Per-round payoffs of ``simulate``, from its chunks of outcome cells."""
+    """Per-round payoffs of ``simulate``, from its blocks of pair bytes."""
     payoffs = classical_matrix(spec.coefficients).entries.ravel()
     return payoffs[round_cells(_product_rounds(spec, alpha, beta, rounds, seed), rounds)]
 
