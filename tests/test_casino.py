@@ -196,7 +196,8 @@ class TestExactBoundary:
             index = [sum(v >= edge for edge in edges) for v in u]
             assert index[-1] == sum(not draw_is_yes(word, edge) for edge in edges)
             want = [4 * i if player == 0 else i for i in index]
-            assert round_cells(_round_pairs(seed, rounds, rows, _compound_pairs), rounds) == want
+            pairs = _round_pairs(seed, rounds, rows, _compound_pairs)
+            assert round_cells(pairs, rounds) == want
             assert report_statistics(simulate_joint(self.SPEC, alice, bob, rounds, seed)) == \
                 exact_statistics(joint_rounds(self.SPEC, alice, bob, rounds, seed))
 
