@@ -16,9 +16,9 @@ because scaling by a power of two is exact and m is an integer; L is
 clamped to [0, 2**53], which keeps a p a rounding step outside [0, 1]
 drawing as never or always.  For L < 2**53, m >= L holds exactly when
 w >= L << 11, because the low 11 bits of L << 11 are zero, so no shift
-is taken.  L = 2**53 (p rounds to 1) has no 64-bit word limit: there
-``w >= limit`` must never hold, so those draws are masked to false
-after the comparison, and only when such a limit occurs.  The word
+is taken.  L = 2**53 (p rounds to 1) has no 64-bit word limit: L << 11
+wraps to 0, which every word reaches, so each such limit adds exactly 1
+at its draw and one subtraction there takes it back.  The word
 comparison thus lands every round in the same outcome as the float one.
 
 Within a round the draw order is frozen: Alice odd, Alice even, Bob odd,
@@ -209,8 +209,6 @@ def simulate(
 def _product_rounds(spec, alpha, beta, rounds, seed, chunk=None):
     """The pair bytes of product-form play, ``chunk`` rounds at a time
     (``_CHUNK_ROUNDS`` by default)."""
-    if rounds < 1:
-        raise ValueError("need at least one round")
     p = probabilities_from_angle(alpha, spec.alice_frame)
     q = probabilities_from_angle(beta, spec.bob_frame)
     return _round_pairs(seed, rounds, [[p.p1, p.p2, q.p1, q.p2]], _product_pairs, chunk)
@@ -222,7 +220,7 @@ def _product_report(spec, alpha, beta, counts, rounds, seed):
                    payoff_surface(spec, alpha, beta), rounds, seed)
 
 
-def _product_pairs(words, limits, never, scratch):
+def _product_pairs(reached, size):
     """Pack each round's four no-bits into its cell, two rounds to a byte.
 
     The bits in draw order, 8 * Alice odd no + 4 * Alice even no + 2 * Bob
@@ -232,18 +230,7 @@ def _product_pairs(words, limits, never, scratch):
     pair byte; for an odd number of rounds it pads the last byte's low
     nibble with zeros.
     """
-    no = scratch[:len(words)].view(np.bool_)
-    return np.packbits(_reached(words, limits[0], never[0], 4, out=no))
-
-
-def _reached(words, limits, never, draws, out=None):
-    """``words >= limits`` for a chunk of ``draws`` draws a round, false at
-    the draws listed in ``never``: their L is 2**53, which no word reaches
-    (see the module docstring)."""
-    reached = np.greater_equal(words, limits, out=out)
-    for draw in never:
-        reached[draw::draws] = False
-    return reached
+    return np.packbits(reached[:size])
 
 
 def _round_pairs(seed, rounds, thresholds, pairs_of, chunk=None):
@@ -252,22 +239,23 @@ def _round_pairs(seed, rounds, thresholds, pairs_of, chunk=None):
     rounded up to even).
 
     ``thresholds`` holds rows of one probability per draw of a round; each
-    becomes the word limit ``L << 11`` of its draws, tiled over a chunk,
-    and ``never`` lists for each row the draws whose L is 2**53, which
-    ``pairs_of`` masks.  Round ``start`` begins ``draws * start`` draws
-    into the stream, so a chunk's stream is seeded that many steps ahead
-    of ``seed``.  ``pairs_of(words, limits, never, scratch)`` returns a
-    chunk's pair bytes.  Every chunk but the last holds an even number of
-    rounds, so only the last byte of a run can hold a padding nibble.  The
-    stream offsets and every buffer are built once per call, each on a
-    cache line, and reused, so each yielded array may be overwritten by
-    the next.
+    becomes the word limit ``L << 11`` of its draws, tiled over a chunk.
+    Round ``start`` begins ``draws * start`` draws into the stream, so a
+    chunk's stream is seeded that many steps ahead of ``seed``.  The first
+    ``size`` bytes of ``scratch`` get each draw's reached level, the number
+    of rows whose limit its word reaches; a limit whose L is 2**53 wraps to
+    0 and is reached by every word, so 1 is taken back at its draw.
+    ``pairs_of(scratch, size)`` turns the levels into the chunk's pair
+    bytes.  Every chunk but the last holds an even number of rounds, so
+    only the last byte of a run can hold a padding nibble.  The stream
+    offsets and every buffer are built once per call, each on a cache
+    line, and reused, so each yielded array may be overwritten by the next.
     """
     draws = len(thresholds[0])
     chunk = min(chunk or _CHUNK_ROUNDS, rounds)
     chunk += chunk % 2
     mantissa_limits = [[_mantissa_limit(p) for p in row] for row in thresholds]
-    never = [[d for d, m in enumerate(row) if m == 1 << 53] for row in mantissa_limits]
+    wrapped = [d for row in mantissa_limits for d, m in enumerate(row) if m == 1 << 53]
     limits = _aligned_empty((len(thresholds), chunk, draws), np.uint64)
     limits[...] = np.array([[(m << 11) & _MASK64 for m in row] for row in mantissa_limits],
                            dtype=np.uint64)[:, None]
@@ -277,9 +265,15 @@ def _round_pairs(seed, rounds, thresholds, pairs_of, chunk=None):
     scratch = _aligned_empty(offsets.shape, np.uint8)
     for start in range(0, rounds, chunk):
         size = draws * min(chunk, rounds - start)
-        yield pairs_of(_words(offsets[:size], seed + draws * start * _GAMMA,
-                              words[:size], spare[:size]),
-                       limits[:, :size], never, scratch)
+        chunk_words = _words(offsets[:size], seed + draws * start * _GAMMA,
+                             words[:size], spare[:size])
+        reached = scratch[:size]
+        np.greater_equal(chunk_words, limits[0, :size], out=reached.view(np.bool_))
+        for row in limits[1:, :size]:
+            reached += chunk_words >= row
+        for draw in wrapped:
+            reached[draw::draws] -= 1
+        yield pairs_of(scratch, size)
 
 
 def simulate_joint(
@@ -300,8 +294,6 @@ def simulate_joint(
     magnitude overflow the variance and raise OverflowError; stakes whose
     sums overflow the 4x4 matrix raise ValueError from ``ClassicalMatrix``.
     """
-    if rounds < 1:
-        raise ValueError("need at least one round")
     # inverse-CDF draw over the fixed compound-strategy order: a compound
     # index is the number of cumulative-probability edges at or below the
     # uniform; ``uniform >= edge`` negates ``uniform < edge``, so an edge's
@@ -312,19 +304,14 @@ def simulate_joint(
     return _report(counts, *desk_table(spec.coefficients), analytic, rounds, seed)
 
 
-def _compound_pairs(words, limits, never, scratch):
+def _compound_pairs(reached, size):
     """16 * cell_0 + cell_1 for each two rounds, where a round's cell is
-    4 * Alice's compound index + Bob's, from its two draws."""
-    size = len(words)
-    index = scratch[:size]
-    _reached(words, limits[0], never[0], 2, out=index.view(np.bool_))
-    for row, masked in zip(limits[1:], never[1:]):
-        index += _reached(words, row, masked, 2)
+    4 * Alice's compound index + Bob's, from its two draws' reached levels."""
     # two rounds' indices (ia0, ib0, ia1, ib1) read as one little-endian
     # 32-bit word; times 0x40100401 its high byte is
     # 64 * ia0 + 16 * ib0 + 4 * ia1 + ib1, and no lower byte carries.  An
     # odd chunk's missing round reads as zeros, not as stale indices.
-    quads = scratch[:-(-size // 4) * 4]
+    quads = reached[:-(-size // 4) * 4]
     quads[size:] = 0
     words32 = quads.view("<u4")
     words32 *= np.uint32(0x40100401)
@@ -364,8 +351,7 @@ def _report(counts, odd, even, analytic, rounds, seed):
     order.  An infinite cell payoff, or a statistic beyond the float
     range, raises OverflowError.
     """
-    played = [(n, o, e, t) for n, o, e, t in zip(counts, odd.tolist(), even.tolist(),
-                                                 (odd + even).tolist()) if n]
+    played = [(n, o, e, o + e) for n, o, e in zip(counts, odd, even) if n]
     scale = max(v.as_integer_ratio()[1] for _, *cell in played for v in cell)
 
     def scaled(v: float) -> int:

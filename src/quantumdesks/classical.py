@@ -16,9 +16,9 @@ desk games in closed form; it accepts only matrices with that structure.
 The solver works on Python floats.  ``solve_classical`` hands the rows
 of a ClassicalMatrix to ``_solve_desk_sum``, and the ``classical``
 command hands it the rows of ``_compound_rows`` directly, so the command
-never imports numpy.  ClassicalMatrix, ClassicalSolution, ``desk_table``
-and ``JointDistribution.as_vector`` keep their numpy arrays; each
-imports numpy where it builds one.
+never imports numpy.  Only ClassicalMatrix and ClassicalSolution hold
+numpy arrays; each imports numpy where it builds one, as
+``JointDistribution.as_vector`` does for the vector it returns.
 """
 
 from __future__ import annotations
@@ -96,30 +96,21 @@ def desk_payoff(alice_odd: int, alice_even: int, bob_odd: int, bob_even: int,
     return odd, even
 
 
-def _desk_cells(c: PayoffCoefficients) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """``desk_table`` as two tuples of Python floats."""
-    actions = tuple(zip(_ODD_ACTION, _EVEN_ACTION))
-    odd, even = zip(*[desk_payoff(a_odd, a_even, b_odd, b_even, c)
-                      for a_odd, a_even in actions for b_odd, b_even in actions])
-    return odd, even
-
-
-def desk_table(c: PayoffCoefficients) -> tuple[np.ndarray, np.ndarray]:
+def desk_table(c: PayoffCoefficients) -> tuple[tuple[float, ...], tuple[float, ...]]:
     """Alice's (odd, even) desk payoffs in the 16 outcome cells.
 
-    Entry 4*i + j of each array is ``desk_payoff`` for her compound
+    Entry 4*i + j of each tuple is ``desk_payoff`` for her compound
     strategy i against Bob's j.
     """
-    import numpy as np
-
-    odd, even = _desk_cells(c)
-    return np.array(odd), np.array(even)
+    actions = tuple(zip(_ODD_ACTION, _EVEN_ACTION))
+    return tuple(zip(*[desk_payoff(a_odd, a_even, b_odd, b_even, c)
+                       for a_odd, a_even in actions for b_odd, b_even in actions]))
 
 
 def _compound_rows(c: PayoffCoefficients) -> list[list[float]]:
     """The rows of ``classical_matrix(c)`` as Python floats: the two desk
     tables added, cell 4*i + j at row i and column j."""
-    cells = [odd + even for odd, even in zip(*_desk_cells(c))]
+    cells = [odd + even for odd, even in zip(*desk_table(c))]
     return [cells[i:i + 4] for i in range(0, 16, 4)]
 
 

@@ -58,7 +58,7 @@ class TestClassicalMatrix:
         rng = np.random.default_rng(shift)
         for _ in range(200):
             c = PayoffCoefficients(*rng.choice(EDGE_STAKES, 4))
-            odd, even = desk_table(c)
+            odd, even = map(np.array, desk_table(c))
             assert (odd + even).reshape(4, 4).tobytes() == classical_matrix(c).entries.tobytes()
 
     def test_desk_table_cells_are_desk_payoffs(self):
