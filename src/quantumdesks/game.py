@@ -4,7 +4,6 @@ A game is four stakes and one observable frame per player; a strategy
 angle maps to a ProbabilityQuadruple, and ``scalar_payoff`` prices a
 pair of quadruples.  Nothing here imports numpy, so the commands that
 need only these values (``curve``, ``classical``) never load it.
-``quantum`` re-exports every name defined here.
 """
 
 from __future__ import annotations

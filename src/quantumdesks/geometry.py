@@ -23,8 +23,6 @@ from .game import ObservableFrame, ProbabilityQuadruple, angle_gap
 
 #: default tolerance for curve-membership decisions
 MEMBERSHIP_TOL = 1e-9
-#: default tolerance for algebraic identities between coefficient sets
-ALGEBRAIC_TOL = 1e-12
 #: discriminant threshold below which the conic is flagged as a segment
 DEGENERATE_TOL = 1e-12
 

@@ -7,8 +7,8 @@ state is ``kron(alice_state, bob_state)``.  This ordering is fixed for
 the whole package.
 
 The numpy-free value types (frames, stakes, specs, probability
-quadruples), ``scalar_payoff`` and the angle helpers are defined in
-``game`` and re-exported here; only the operator side needs numpy.
+quadruples), ``scalar_payoff`` and the angle helpers live in ``game``;
+only the operator side, here, needs numpy.
 """
 
 from __future__ import annotations
@@ -19,16 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .game import (  # re-exported
-    GameSpec,
-    ObservableFrame,
-    PayoffBreakdown,
-    PayoffCoefficients,
-    ProbabilityQuadruple,
-    angle_gap,
-    reduce_angle,
-    scalar_payoff,
-)
+from .game import GameSpec, ObservableFrame
 
 ATOL = 1e-12
 

@@ -36,7 +36,8 @@ from quantumdesks import (
     verify_saddle,
 )
 from quantumdesks import casino, serialize
-from quantumdesks.quantum import _kron, angle_gap
+from quantumdesks.game import angle_gap
+from quantumdesks.quantum import _kron
 from quantumdesks.equilibrium import (FLAG_NO_SADDLE, _TIE_RTOL, _angle_rows, _grid_rows,
                                       _security_level)
 from conftest import (chained_rounds, dense_security_level, exact_statistics,

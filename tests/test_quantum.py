@@ -19,7 +19,7 @@ from quantumdesks import (
     scalar_payoff,
     weight,
 )
-from quantumdesks.quantum import reduce_angle
+from quantumdesks.game import reduce_angle
 from conftest import make_spec, random_spec
 
 
