@@ -355,8 +355,18 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(make_spec(), 0.0, 0.0, 0, seed=1)
 
+    def test_rejects_negative_rounds(self):
+        with pytest.raises(ValueError):
+            simulate(make_spec(), 0.0, 0.0, -1, seed=1)
+
 
 class TestSimulateJoint:
+    @pytest.mark.parametrize("rounds", [0, -1])
+    def test_rejects_fewer_than_one_round(self, rounds):
+        j = JointDistribution(0.25, 0.25, 0.25, 0.25)
+        with pytest.raises(ValueError):
+            simulate_joint(make_spec(), j, j, rounds, seed=1)
+
     def test_unbiased_for_correlated_play(self):
         spec = make_spec(1.0, 2.0, 3.0, 4.0)
         j = JointDistribution(0.5, 0.0, 0.0, 0.5)  # desks perfectly correlated

@@ -1,4 +1,7 @@
+import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,9 +19,12 @@ from quantumdesks import (
     solve_classical,
     verify_saddle,
 )
+from quantumdesks import equilibrium
+from quantumdesks.cli import load_game_spec, main
 from quantumdesks.equilibrium import (
     FLAG_NO_CONVERGENCE,
     FLAG_NO_SADDLE,
+    FLAG_NOT_STATIONARY,
     _TIE_RTOL,
     _cached_grid_rows,
     _security_level,
@@ -104,6 +110,34 @@ class TestGridSaddleOracle:
     def test_rejects_tiny_grids(self):
         with pytest.raises(ValueError):
             grid_saddle_oracle(DECOUPLED, 4)
+
+
+#: the first ten specs of the golden corpus that have a saddle
+SADDLE_GOLDENS = ["decoupled", "cycling", "twin_peaks"] + [f"random_{i:02d}" for i in range(7)]
+
+
+@pytest.fixture
+def golden_spec_file(tmp_path):
+    """Writes the spec of a golden corpus file on its own; returns its path."""
+    def write(name):
+        golden = Path(__file__).resolve().parent / "golden" / f"{name}.json"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(json.loads(golden.read_text(encoding="utf-8"))["spec"]))
+        return str(path)
+    return write
+
+
+@pytest.fixture
+def alice_off_her_optimum(monkeypatch):
+    """``refine_saddle`` gets Alice's angle 0.3 past her optimum, at her true
+    level; her level is the first of each pair of ``_security_level`` calls."""
+    real, calls = equilibrium._security_level, itertools.count()
+
+    def security_level(k, seed):
+        angle, level = real(k, seed)
+        return (angle + 0.3 if next(calls) % 2 == 0 else angle), level
+
+    monkeypatch.setattr(equilibrium, "_security_level", security_level)
 
 
 class TestRefineSaddle:
@@ -216,6 +250,21 @@ class TestRefineSaddle:
             got = refine_saddle(spec, (rng.uniform(0, math.pi), rng.uniform(0, math.pi)))
             assert 0.0 <= got.alpha_star < math.pi
             assert 0.0 <= got.beta_star < math.pi
+
+
+@pytest.mark.usefixtures("alice_off_her_optimum")
+@pytest.mark.parametrize("name", SADDLE_GOLDENS)
+class TestNotStationary:
+    # with the one-sided values met but an angle off its optimum, only the
+    # gradient check can tell that the profile is not a saddle
+    def test_flagged_without_a_gap(self, name, golden_spec_file):
+        flags = refine_saddle(load_game_spec(golden_spec_file(name))).flags
+        assert FLAG_NOT_STATIONARY in flags
+        assert FLAG_NO_SADDLE not in flags
+
+    def test_equilibrium_exits_0_and_prints_the_flag(self, name, golden_spec_file, capsys):
+        assert main(["equilibrium", golden_spec_file(name)]) == 0
+        assert json.loads(capsys.readouterr().out)["flags"] == [FLAG_NOT_STATIONARY]
 
 
 class TestSecurityLevel:
